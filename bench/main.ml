@@ -30,18 +30,7 @@ let record ?experiment ~metric ~value ~unit_ () =
   let experiment = match experiment with Some e -> e | None -> !current_exp in
   bench_rows := (experiment, metric, value, unit_) :: !bench_rows
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Xpdl_core.Json_string.escape
 
 let write_json path =
   let oc = open_out path in

@@ -22,10 +22,6 @@
 open Cmdliner
 open Xpdl_core
 
-let setup_logs () =
-  Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs_fmt.reporter ())
-
 let repo_of_paths paths =
   let repo = Xpdl_repo.Repo.create () in
   let paths =
@@ -113,7 +109,7 @@ let set_arg =
 
 let list_cmd =
   let run paths =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let repo = repo_of_paths paths in
     List.iter
       (fun ident ->
@@ -168,7 +164,7 @@ let validate_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SYSTEM|FILE" ~doc)
   in
   let run paths format max_errors name =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let repo = repo_of_paths paths in
     if Sys.file_exists name && not (Sys.is_directory name) then
       validate_file repo name format max_errors
@@ -189,7 +185,7 @@ let validate_cmd =
 
 let validate_all_cmd =
   let run paths format max_errors =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let repo = repo_of_paths paths in
     let failures = ref 0 in
     let collected = ref [] in
@@ -257,7 +253,7 @@ let jobs_arg =
 
 let repo_index_cmd =
   let run paths =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let paths =
       match paths with
       | [] -> (
@@ -288,7 +284,7 @@ let repo_index_cmd =
 
 let repo_stats_cmd =
   let run paths format =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let repo = repo_open_paths paths in
     (* force one lookup so laziness is visible in the counters *)
     let s = Xpdl_repo.Repo.stats repo in
@@ -316,7 +312,7 @@ let repo_stats_cmd =
 
 let repo_validate_all_cmd =
   let run paths format max_errors jobs =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let repo = repo_open_paths paths in
     (* capture the load-time stream before validation: materialization
        order under N domains may interleave later additions differently,
@@ -365,7 +361,7 @@ let compose_cmd =
     Arg.(value & flag & info [ "summary" ] ~doc)
   in
   let run paths format max_errors name summary_only sets =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let repo = repo_of_paths paths in
     match parse_config sets with
     | Error msg ->
@@ -399,7 +395,7 @@ let compose_cmd =
 
 let analyze_cmd =
   let run paths name =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let repo = repo_of_paths paths in
     match Xpdl_repo.Repo.compose_by_name repo name with
     | Error msg ->
@@ -447,7 +443,7 @@ let process_cmd =
     Arg.(value & opt (some string) None & info [ "emit-drivers" ] ~docv:"DIR" ~doc)
   in
   let run paths name output no_bootstrap drivers sets =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let repo = repo_of_paths paths in
     match parse_config sets with
     | Error msg ->
@@ -528,7 +524,7 @@ let bootstrap_cmd =
   in
   let run paths format name deadline budget retries fail_fast seed fault_rate fault_seed sweep
       sets =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let repo = repo_of_paths paths in
     match parse_config sets with
     | Error msg ->
@@ -600,7 +596,7 @@ let query_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY" ~doc)
   in
   let run file expr =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let q = Xpdl_query.Query.init file in
     let starts_with prefix s =
       String.length s > String.length prefix && String.sub s 0 (String.length prefix) = prefix
@@ -655,7 +651,7 @@ let verify_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
   let run file =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     match Xpdl_toolchain.Ir.of_file_result file with
     | Error d ->
         Fmt.epr "%s: [%s] %s@." file d.Diagnostic.code d.Diagnostic.message;
@@ -667,7 +663,7 @@ let verify_cmd =
             1
         | Ok () ->
             Fmt.pr "%s: ok (%d nodes, format v%d)@." file (Xpdl_toolchain.Ir.size ir)
-              Xpdl_toolchain.Ir.format_version;
+              (Xpdl_toolchain.Ir.version ir);
             0)
   in
   Cmd.v
@@ -703,7 +699,7 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "progress" ] ~doc)
   in
   let run seed count props progress =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let unknown =
       List.filter (fun p -> not (List.mem p Xpdl_gen.Differential.property_names)) props
     in
@@ -818,7 +814,7 @@ let dse_cmd =
   in
   let run format max_errors template axes sample exhaustive jobs seed rows density iterations
       fault_rate fault_seed =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     ignore exhaustive;
     match load_template template with
     | Error diags -> emit_diags ~format ?max_errors diags
@@ -934,7 +930,7 @@ let serve_cmd =
     Arg.(value & opt int 1024 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
   in
   let run models system addr deadline max_clients wal fsync checkpoint_every =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     match Xpdl_repo.Repo.compose_by_name (repo_of_paths models) system with
     | Error msg ->
         Fmt.epr "%s@." msg;
@@ -1045,7 +1041,7 @@ let loadgen_cmd =
   in
   let run addr clients duration rate seed edit_target edit_key json req_ids retries retry_deadline
       =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let resolve_mix () =
       match edit_target with
       | None -> Xpdl_serve.Loadgen.default_mix
@@ -1160,7 +1156,7 @@ let chaosproxy_cmd =
     Arg.(value & opt float 0.01 & info [ "reset-chance" ] ~docv:"P" ~doc)
   in
   let run upstream listen seed deadline split_chance max_split stall_chance stall_s reset_chance =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let plan =
       { Xpdl_serve.Chaos.split_chance; max_split; stall_chance; stall_s; reset_chance }
     in
@@ -1193,7 +1189,7 @@ let walcheck_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc)
   in
   let run dir =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     match
       Xpdl_store.Store.recover ~read_only:true ~dir
         (Xpdl_core.Model.make Xpdl_core.Schema.System)
@@ -1230,7 +1226,7 @@ let walcheck_cmd =
 
 let stats_cmd =
   let run addr =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     match
       let cl = Xpdl_serve.Client.connect addr in
       let resp = Xpdl_serve.Client.request ~timeout:5.0 cl Xpdl_serve.Protocol.Stats in
@@ -1276,7 +1272,7 @@ let emit_drivers_cmd =
     Arg.(value & opt string "drivers" & info [ "d"; "dir" ] ~docv:"DIR" ~doc)
   in
   let run paths name dir =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let repo = repo_of_paths paths in
     match Xpdl_repo.Repo.compose_by_name repo name with
     | Error msg ->
@@ -1307,7 +1303,7 @@ let emit_uml_cmd =
     Arg.(value & opt int 3 & info [ "depth" ] ~doc)
   in
   let run paths target depth =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     if String.equal target "metamodel" then begin
       print_string (Xpdl_toolchain.Uml.metamodel_diagram ());
       0
@@ -1342,7 +1338,7 @@ let emit_xsd_cmd =
 
 let control_cmd =
   let run paths name =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let repo = repo_of_paths paths in
     match Xpdl_repo.Repo.compose_by_name repo name with
     | Error msg ->
@@ -1369,7 +1365,7 @@ let control_cmd =
 
 let to_json_cmd =
   let run paths name =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let repo = repo_of_paths paths in
     match Xpdl_repo.Repo.compose_by_name repo name with
     | Error msg ->
@@ -1387,7 +1383,7 @@ let to_json_cmd =
 
 let to_pdl_cmd =
   let run paths name =
-    setup_logs ();
+    Fmt_tty.setup_std_outputs ();
     let repo = repo_of_paths paths in
     match Xpdl_repo.Repo.compose_by_name repo name with
     | Error msg ->

@@ -373,45 +373,6 @@ let eval_point ~(template : Model.element) ~(cfg : config) ~index ~bindings : po
             })
 
 (* ------------------------------------------------------------------ *)
-(* Parallel evaluation: chunked queue over domains, slot-deterministic *)
-
-(* Each worker claims a contiguous chunk of slots from a shared atomic
-   cursor; results land in the slot owned by their grid index, so the
-   merged array — and everything derived from it — is independent of
-   scheduling.  No work stealing: chunks are small enough (≥ 8 per
-   domain on average) that tail imbalance stays bounded. *)
-let run_points ~jobs ~eval (indices : int array) : point array =
-  let n = Array.length indices in
-  let results = Array.make n None in
-  let fill slot = results.(slot) <- Some (eval indices.(slot)) in
-  if jobs <= 1 || n <= 1 then
-    for slot = 0 to n - 1 do
-      fill slot
-    done
-  else begin
-    let jobs = min jobs n in
-    let cursor = Atomic.make 0 in
-    let chunk = max 1 (n / (jobs * 8)) in
-    let worker () =
-      let continue = ref true in
-      while !continue do
-        let start = Atomic.fetch_and_add cursor chunk in
-        if start >= n then continue := false
-        else
-          for slot = start to min (n - 1) (start + chunk - 1) do
-            fill slot
-          done
-      done
-    in
-    let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join domains
-  end;
-  Array.map
-    (function Some p -> p | None -> invalid_arg "Dse.run_points: unfilled slot")
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Pareto front over (energy, time, static power), all minimized *)
 
 let dominates a b =
@@ -537,8 +498,11 @@ let run ?(config = default_config) ?axes (template : Model.element) :
   | Error d -> Error d
   | Ok sp ->
       let indices, plan_diags = select_indices ~seed:config.seed sp config.plan in
-      let eval index = eval_point ~template ~cfg:config ~index ~bindings:(decode sp index) in
-      let points = run_points ~jobs:config.jobs ~eval indices in
+      let eval slot =
+        let index = indices.(slot) in
+        eval_point ~template ~cfg:config ~index ~bindings:(decode sp index)
+      in
+      let points = Par.map_slots ~jobs:config.jobs (Array.length indices) eval in
       let evaluated =
         Array.to_list points
         |> List.filter_map (fun p ->
@@ -583,7 +547,7 @@ let exit_code (r : report) = if r.rp_front = [] then 1 else 0
    the CLI appends its own "timing" member, which consumers strip. *)
 
 let jf v = if Float.is_finite v then Fmt.str "%.17g" v else Fmt.str "\"%h\"" v
-let js s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\""
+let js = Json_string.quote
 
 let status_name = function Evaluated _ -> "ok" | Pruned -> "pruned" | Failed -> "failed"
 

@@ -46,10 +46,9 @@ let default_policy =
    schedules are independent per benchmark yet fully replayable. *)
 let backoff_schedule policy ~name ~attempts =
   let rng = Rng.split (Rng.create ~seed:policy.backoff_seed) ("backoff:" ^ name) in
-  List.init attempts (fun i ->
-      policy.backoff_base
-      *. (policy.backoff_factor ** float_of_int i)
-      *. (1. +. (policy.backoff_jitter *. Rng.float rng)))
+  List.init attempts
+    (Rng.backoff rng ~base:policy.backoff_base ~factor:policy.backoff_factor
+       ~jitter:policy.backoff_jitter)
 
 type quality = Measured | Interpolated | Inherited | Unresolved
 
@@ -617,7 +616,7 @@ let quality_entries (root : Model.element) : (string * string) list =
 (* ------------------------------------------------------------------ *)
 (* Reports *)
 
-let js s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\""
+let js = Json_string.quote
 let jf v = if Float.is_finite v then Fmt.str "%.17g" v else js (Fmt.str "%h" v)
 
 let attempt_to_json a =

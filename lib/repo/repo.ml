@@ -709,17 +709,16 @@ type validation = {
   va_errors : Diagnostic.t list;
 }
 
-(* Validate every descriptor, sharded over [jobs] domains with a chunked
-   atomic cursor (as in Dse.run_points).  Two phases, both sharded:
+(* Validate every descriptor, sharded over [jobs] domains with
+   {!Par.map_slots}.  Two phases, both sharded:
 
    Phase A materializes every pending descriptor with exactly one parse
-   per file.  Workers claim contiguous runs of pending slots grouped by
-   file and write elaborated elements into distinct array slots, so no
-   lock is held while parsing and no two domains duplicate a parse.
-   Results go into a side table rather than the repository's LRU cache:
-   validate-all must not evict a caller's warm working set, and its
-   snapshot must be complete even when [cache_capacity] is smaller than
-   the repository.
+   per file.  Each slot is one run of pending descriptors grouped by
+   file, so no lock is held while parsing and no two domains duplicate
+   a parse.  Results go into a side table rather than the repository's
+   LRU cache: validate-all must not evict a caller's warm working set,
+   and its snapshot must be complete even when [cache_capacity] is
+   smaller than the repository.
 
    Phase B validates against that immutable snapshot.  Lookups are
    lock-free (the snapshot table is never mutated after phase A), so
@@ -732,34 +731,6 @@ type validation = {
    repository content — the XPDL305 dedup table affects only the
    repository's own diagnostic stream, never a validation result. *)
 let validate_all ?(jobs = 1) t =
-  let jobs = max 1 jobs in
-  let run_sharded n work =
-    let workers = max 1 (min jobs n) in
-    if workers = 1 then
-      for i = 0 to n - 1 do
-        work i
-      done
-    else begin
-      let cursor = Atomic.make 0 in
-      let chunk = max 1 (n / (workers * 8)) in
-      let worker () =
-        let rec loop () =
-          let start = Atomic.fetch_and_add cursor chunk in
-          if start < n then begin
-            let stop = min n (start + chunk) in
-            for i = start to stop - 1 do
-              work i
-            done;
-            loop ()
-          end
-        in
-        loop ()
-      in
-      let domains = List.init (workers - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      List.iter Domain.join domains
-    end
-  in
   let targets, pend, warm =
     locked t (fun () ->
         Hashtbl.fold
@@ -795,26 +766,21 @@ let validate_all ?(jobs = 1) t =
     done;
     Array.of_list (List.rev !acc)
   in
-  let fetched = Array.make np None in
-  run_sharded (Array.length groups) (fun gi ->
-      let file, lo, hi = groups.(gi) in
-      let parsed = parse_descriptors file in
-      for k = lo to hi do
-        let ident, src = pend.(k) in
-        match List.assoc_opt src.src_ordinal parsed with
-        | Some e when (match Model.identifier e with Some id -> String.equal id ident | None -> false)
-          ->
-            fetched.(k) <- Some e
-        | _ -> ()
-      done);
+  let fetched =
+    Par.map_slots ~jobs (Array.length groups) (fun gi ->
+        let file, lo, hi = groups.(gi) in
+        let parsed = parse_descriptors file in
+        List.init (hi - lo + 1) (fun j -> pend.(lo + j))
+        |> List.filter_map (fun (ident, src) ->
+               match List.assoc_opt src.src_ordinal parsed with
+               | Some e when Model.identifier e = Some ident -> Some (ident, e)
+               | _ -> None))
+  in
   locked t (fun () -> t.c.c_parsed_files <- t.c.c_parsed_files + Array.length groups);
   (* immutable snapshot: safe for concurrent lock-free reads in phase B *)
   let snap = Hashtbl.create (max 16 (np + List.length warm)) in
   List.iter (fun (ident, e) -> Hashtbl.replace snap ident e) warm;
-  Array.iteri
-    (fun k (ident, _) ->
-      match fetched.(k) with Some e -> Hashtbl.replace snap ident e | None -> ())
-    pend;
+  Array.iter (List.iter (fun (ident, e) -> Hashtbl.replace snap ident e)) fetched;
   let snap_find ident = Hashtbl.find_opt snap ident in
   let snap_lookup ident =
     match resolve_hyperlink t ident with
@@ -825,9 +791,7 @@ let validate_all ?(jobs = 1) t =
   let targets =
     List.sort (fun (a, _) (b, _) -> String.compare a b) targets |> Array.of_list
   in
-  let n = Array.length targets in
-  let results = Array.make n None in
-  run_sharded n (fun i ->
+  Par.map_slots ~jobs (Array.length targets) (fun i ->
       let ident, kind = targets.(i) in
       let errors =
         match snap_find ident with
@@ -847,8 +811,8 @@ let validate_all ?(jobs = 1) t =
             end
             else Diagnostic.errors (Validate.run ~lookup:snap_lookup e)
       in
-      results.(i) <- Some { va_ident = ident; va_kind = Schema.tag_of_kind kind; va_errors = errors });
-  Array.to_list results |> List.filter_map Fun.id
+      { va_ident = ident; va_kind = Schema.tag_of_kind kind; va_errors = errors })
+  |> Array.to_list
 
 (** Total parsed size of the repository in model elements, a proxy for
     the specification-bytes comparisons of experiment E9.  Forces

@@ -1,13 +1,13 @@
 (* Persistent repository index codec (.xpdlidx sidecars).
 
-   Layout of a version-1 image, all integers little-endian:
+   Layout of a version-2 image, all integers little-endian:
 
      0   magic "XPDLIX"
-     6   u64 format version = 1
+     6   u64 format version = 2
      14  u64 x 6: file count, descriptor count, diagnostic count,
                   string count, string blob length, total length
-     62  u64 payload checksum (63-bit FNV-1a over everything after the
-         header, same fold as the runtime-model arena)
+     62  u64 payload checksum (Xpdl_core.Checksum over everything after
+         the header, as in the runtime-model arena)
      70  string table  (nstr+1) x u32 offsets, then blob
          file records  nf x (path u32, mtime f64-bits, size u64,
                              flags u8, ndescs u32, ndiags u32)
@@ -60,27 +60,11 @@ let sidecar = ".xpdlidx"
 let path_for_root root = Filename.concat root sidecar
 
 let magic = "XPDLIX"
-let format_version = 1
+let format_version = 2
 
 (* magic (6) + version (8) + 6 length fields (48) + checksum (8) *)
 let header_size = 70
 let checksum_off = 62
-
-(* The same 63-bit FNV-1a variant as the runtime-model arena: eight
-   bytes at a time, top bit masked so it round-trips a u64 slot. *)
-let fnv_prime = 0x100000001b3
-
-let checksum_sub (s : string) pos len =
-  let h = ref 0x2545F4914F6CDD1D in
-  let words = len / 8 in
-  for w = 0 to words - 1 do
-    let c = Int64.to_int (String.get_int64_le s (pos + (8 * w))) in
-    h := (!h lxor c) * fnv_prime land max_int
-  done;
-  for o = pos + (8 * words) to pos + len - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s o)) * fnv_prime land max_int
-  done;
-  !h
 
 (* --- severity codes --- *)
 
@@ -237,7 +221,7 @@ let encode (t : t) : string =
         fr.fr_descs)
     t.files;
   let s = Bytes.unsafe_to_string b in
-  let ck = checksum_sub s header_size (total - header_size) in
+  let ck = Checksum.sub s header_size (total - header_size) in
   w64 b checksum_off ck;
   Bytes.unsafe_to_string b
 
@@ -273,13 +257,8 @@ let decode (s : string) : (t, Diagnostic.t) result =
     let o_diags = o_descs + (desc_rec_size * nd) in
     let o_total = o_diags + (diag_rec_size * ng) in
     if o_total <> len then bad "section arithmetic does not cover the image";
-    let stored = Int64.to_int (String.get_int64_le s checksum_off) land max_int in
-    let b = Bytes.of_string s in
-    w64 b checksum_off 0;
-    let actual =
-      checksum_sub (Bytes.unsafe_to_string b) header_size (len - header_size)
-    in
-    if stored <> actual then bad "checksum mismatch";
+    let actual = Int64.of_int (Checksum.sub s header_size (len - header_size)) in
+    if not (Int64.equal (String.get_int64_le s checksum_off) actual) then bad "checksum mismatch";
     let str i =
       if i < 0 || i >= nstr then bad "string id %d out of range" i;
       let a = u32 s (o_str_off + (4 * i)) and z = u32 s (o_str_off + (4 * (i + 1))) in
@@ -346,39 +325,9 @@ let decode (s : string) : (t, Diagnostic.t) result =
 
 let save ~root (t : t) : (unit, Diagnostic.t) result =
   let path = path_for_root root in
-  let tmp = path ^ ".tmp" in
-  match
-    (* write + fsync the temp file before the rename publishes it: a
-       crash between rename and writeback must not leave a live index
-       whose bytes never reached the disk.  The directory fsync is
-       best-effort, like the WAL checkpoint writer. *)
-    let data = encode t in
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
-    (try
-       let n = String.length data in
-       let off = ref 0 in
-       while !off < n do
-         off := !off + Unix.write_substring fd data !off (n - !off)
-       done;
-       Unix.fsync fd;
-       Unix.close fd
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
-    Unix.rename tmp path;
-    (match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY; O_CLOEXEC ] 0 with
-    | dfd ->
-        (try Unix.fsync dfd with Unix.Unix_error _ -> ());
-        (try Unix.close dfd with Unix.Unix_error _ -> ())
-    | exception Unix.Unix_error _ -> ())
-  with
+  match Atomic_file.write ~path (encode t) with
   | () -> Ok ()
-  | exception Sys_error m ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      Error (Diagnostic.warning ~code:"XPDL313" "cannot write repository index %s: %s" path m)
   | exception Unix.Unix_error (err, _, _) ->
-      (try Sys.remove tmp with Sys_error _ -> ());
       Error
         (Diagnostic.warning ~code:"XPDL313" "cannot write repository index %s: %s" path
            (Unix.error_message err))

@@ -11,9 +11,10 @@
 
     The codec follows the runtime-model arena conventions
     (lib/toolchain/ir.ml): magic + version header, interned string table
-    in first-appearance order, 63-bit FNV payload checksum, and a single
-    deterministic writer — saving the same index twice yields identical
-    bytes.  A corrupt or truncated index never crashes the loader: it
+    in first-appearance order, the shared {!Xpdl_core.Checksum} payload
+    checksum, and a single deterministic writer — saving the same index
+    twice yields identical bytes.  The format is version 2; an index of
+    any other version is a stale cache, rejected like a corrupt one.  A corrupt or truncated index never crashes the loader: it
     decodes to a coded [XPDL311] diagnostic and the caller falls back to
     a full scan. *)
 

@@ -151,11 +151,6 @@ let retryable = function
       true
   | _ -> false
 
-let backoff_delay policy rng k =
-  let base = policy.backoff_base_s *. (policy.backoff_factor ** float_of_int k) in
-  let j = policy.backoff_jitter in
-  if j <= 0. then base else base *. (1. -. j +. (2. *. j *. Rng.float rng))
-
 let request_retry ?(policy = default_retry) t req =
   let rng = Rng.create ~seed:policy.retry_seed in
   let attempts = max 1 policy.attempts in
@@ -167,7 +162,9 @@ let request_retry ?(policy = default_retry) t req =
     else
       match
         if k > 0 then begin
-          Unix.sleepf (backoff_delay policy rng (k - 1));
+          Unix.sleepf
+            (Rng.backoff rng ~base:policy.backoff_base_s ~factor:policy.backoff_factor
+               ~jitter:policy.backoff_jitter (k - 1));
           (* the old connection may be half-dead or mid-frame: start clean *)
           reconnect t
         end;

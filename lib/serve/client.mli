@@ -49,7 +49,8 @@ type retry_policy = {
   backoff_factor : float;  (** delay multiplier per further retry *)
   backoff_jitter : float;
       (** relative jitter: each delay is scaled by a deterministic
-          uniform factor in [1-j, 1+j] *)
+          uniform factor in [\[1, 1+j)] ({!Xpdl_simhw.Rng.backoff}), so
+          no retry comes sooner than [base·factor^k] *)
   retry_seed : int;  (** seed of the jitter stream (reproducible runs) *)
 }
 

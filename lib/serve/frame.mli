@@ -2,7 +2,7 @@
 
     Every message travels as one frame: a 4-byte big-endian payload
     length followed by the payload bytes.  Frames up to {!max_frame}
-    bytes are accepted (large enough for a whole v2 runtime-model image
+    bytes are accepted (large enough for a whole runtime-model image
     on a [Fetch]); longer announced lengths are rejected with [XPDL701]
     before any payload is buffered.
 

@@ -45,7 +45,7 @@ type request =
   | Subscribe
   | Unsubscribe
   | Fetch of int
-      (** the v2 runtime-model image of a revision ([-1] = head) *)
+      (** the runtime-model image (format v3) of a revision ([-1] = head) *)
   | EditsSince of int  (** journal catch-up; [Compacted] if unreplayable *)
 
 type value =

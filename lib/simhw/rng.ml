@@ -43,3 +43,7 @@ let gaussian t =
 
 (** Multiplicative measurement noise: [1 + sigma·N(0,1)], clamped positive. *)
 let noise_factor t ~sigma = Float.max 0.01 (1. +. (sigma *. gaussian t))
+
+(** Jittered exponential backoff (see the interface). *)
+let backoff t ~base ~factor ~jitter k =
+  base *. (factor ** float_of_int k) *. (1. +. (jitter *. float t))

@@ -26,3 +26,9 @@ val gaussian : t -> float
 (** Multiplicative measurement noise: [1 + sigma·N(0,1)], clamped
     positive. *)
 val noise_factor : t -> sigma:float -> float
+
+(** The one retry backoff formula: the delay before retry [k] (from 0)
+    is [base·factor^k] scaled by a one-sided jitter factor drawn uniform
+    in [\[1, 1+jitter)] from the stream, so a retry never waits less
+    than the unjittered delay.  Draws exactly one value per call. *)
+val backoff : t -> base:float -> factor:float -> jitter:float -> int -> float

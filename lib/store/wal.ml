@@ -39,32 +39,6 @@ let pp_op ppf = function
   | Remove_child (p, at) -> Fmt.pf ppf "remove %a @%d" pp_path p at
 
 (* ------------------------------------------------------------------ *)
-(* checksum — the 63-bit FNV-1a of the v2 codec and .xpdlidx *)
-
-let fnv_prime = 0x100000001b3
-
-let checksum_sub (s : string) pos len =
-  let h = ref 0x2545F4914F6CDD1D in
-  let n8 = len / 8 * 8 in
-  let i = ref 0 in
-  while !i < n8 do
-    (* fold bits 62-63 back into the low bits before masking to the
-       63-bit int range — otherwise the top two bits of every aligned
-       word would be invisible to the checksum (a single-bit flip
-       there, e.g. a float sign, would slip through replay) *)
-    let c64 = String.get_int64_le s (pos + !i) in
-    let c = Int64.to_int (Int64.logxor c64 (Int64.shift_right_logical c64 62)) land max_int in
-    h := (!h lxor c) * fnv_prime land max_int;
-    i := !i + 8
-  done;
-  for o = pos + n8 to pos + len - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s o)) * fnv_prime land max_int
-  done;
-  !h
-
-let checksum s = checksum_sub s 0 (String.length s)
-
-(* ------------------------------------------------------------------ *)
 (* little-endian writer / reader *)
 
 let w_u8 b v = Buffer.add_uint8 b (v land 0xff)
@@ -298,7 +272,7 @@ let decode_model s : (Model.element, Diagnostic.t) result =
   | exception Corrupt msg ->
       Error (Diagnostic.error ~code:"XPDL900" "model image corrupt: %s" msg)
 
-let model_fingerprint m = checksum (encode_model m)
+let model_fingerprint m = Checksum.string (encode_model m)
 
 (* ------------------------------------------------------------------ *)
 (* op codec *)
@@ -416,33 +390,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* tmp + write + fsync + rename + best-effort directory fsync: the
-   rename is only durable once the directory entry itself is synced, and
-   the data must hit the disk before the rename publishes it. *)
-let atomic_write ~path data =
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
-  (try
-     let n = String.length data in
-     let off = ref 0 in
-     while !off < n do
-       off := !off + Unix.write_substring fd data !off (n - !off)
-     done;
-     Unix.fsync fd;
-     Unix.close fd
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Unix.rename tmp path;
-  (* directory fsync is best-effort: not every filesystem lets you open
-     a directory for reading, and the rename is already atomic *)
-  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY; O_CLOEXEC ] 0 with
-  | dfd ->
-      (try Unix.fsync dfd with Unix.Unix_error _ -> ());
-      (try Unix.close dfd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* checkpoints *)
 
@@ -455,9 +402,9 @@ let write_checkpoint ~dir ~rev m =
     Buffer.add_string b checkpoint_magic;
     w_i64 b rev;
     w_u32 b (String.length payload);
-    w_i64 b (checksum payload);
+    w_i64 b (Checksum.string payload);
     Buffer.add_string b payload;
-    atomic_write ~path:(checkpoint_path dir) (Buffer.contents b)
+    Atomic_file.write ~path:(checkpoint_path dir) (Buffer.contents b)
   with
   | () -> Ok ()
   | exception Unix.Unix_error (e, _, p) ->
@@ -478,7 +425,7 @@ let load_checkpoint ~dir =
       let len = r_u32 r in
       let ck = r_i64 r in
       r_need r len;
-      if checksum_sub s r.pos len <> ck then corrupt "checkpoint checksum mismatch";
+      if Checksum.sub s r.pos len <> ck then corrupt "checkpoint checksum mismatch";
       let payload = String.sub s r.pos len in
       r.pos <- r.pos + len;
       r_done r;
@@ -538,7 +485,7 @@ let replay ~dir =
                 diags := torn at "record body cut short (%d of %d bytes)" (total - at - 12) len;
                 stop := true
               end
-              else if checksum_sub s (at + 12) len <> ck then begin
+              else if Checksum.sub s (at + 12) len <> ck then begin
                 diags := torn at "record checksum mismatch";
                 stop := true
               end
@@ -607,7 +554,7 @@ let append t ~rev op =
     let payload = encode_record ~rev op in
     let b = Buffer.create (String.length payload + 12) in
     w_u32 b (String.length payload);
-    w_i64 b (checksum payload);
+    w_i64 b (Checksum.string payload);
     Buffer.add_string b payload;
     write_all t.fd (Buffer.contents b);
     t.dirty <- true;

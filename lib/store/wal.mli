@@ -5,11 +5,11 @@
     {ul
     {- [checkpoint.xck] — an atomic snapshot: magic, the checkpointed
        revision, and a deterministic intern-coded image of the whole
-       {!Xpdl_core.Model.element} tree, protected by a 63-bit FNV-1a
-       checksum (the same checksum/intern discipline as the v2 runtime
-       codec and the [.xpdlidx] repository sidecar).  Written via
-       tmp + fsync + rename, so a crash leaves either the old or the
-       new checkpoint, never a torn one.}
+       {!Xpdl_core.Model.element} tree, protected by the shared
+       {!Xpdl_core.Checksum} (the same checksum/intern discipline as the
+       runtime codec and the [.xpdlidx] repository sidecar).  Written
+       via {!Xpdl_core.Atomic_file}, so a crash leaves either the old or
+       the new checkpoint, never a torn one.}
     {- [wal.log] — the write-ahead journal: one self-delimiting record
        per accepted edit after the checkpoint, each framed as
        [u32 length | u64 checksum | payload] so a torn tail (partial

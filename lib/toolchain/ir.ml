@@ -1,15 +1,15 @@
 (** The light-weight runtime model: a struct-of-arrays {e arena} whose
     byte image is the wire format (see the interface).
 
-    Layout of a version-2 buffer, all integers little-endian:
+    Layout of a version-3 buffer, all integers little-endian:
 
     {v
     0   magic "XPDLRT"
-    6   u64 format version = 2
+    6   u64 format version = 3
     14  u64 x 9: node count n, attr count a, kind count nk,
                  key count nkey, string count nstr,
                  kind/key/string blob lengths, total length
-    86  u64 payload checksum (FNV-1a-style, 63-bit)
+    86  u64 payload checksum ({!Xpdl_core.Checksum} over bytes 94..)
     94  kind table    (nk+1)  x u32 offsets, then blob
         key table     (nkey+1) x u32 offsets, then blob
         string table  (nstr+1) x u32 offsets, then blob
@@ -26,7 +26,7 @@
     Nodes are in preorder, so the subtree of node [i] is the id slice
     [i .. span(i)-1] and neither children nor parents need be stored:
     both are recovered from the span column (parents by one lazy stack
-    sweep).  [of_bytes] on a v2 buffer validates the header arithmetic
+    sweep).  [of_bytes] on an arena buffer validates the header arithmetic
     and the span nesting in one O(n) pass and wraps the buffer —
     nothing is decoded up front.  Node views, parents, scope paths,
     strings and the ident/kind/path indexes materialize lazily on
@@ -39,9 +39,11 @@
     payloads surface as coded [XPDL606] diagnostics at decode time or
     via {!verify}.
 
-    Version-1 files (length-prefixed node stream) are migrated on load:
-    decoded with the original reader — including its preorder and
-    dangling-index checks — then re-encoded as an arena. *)
+    Version-2 files have the same layout and load the same way; only
+    their checksum differs (see the legacy readers).  Version-1 files
+    (length-prefixed node stream) are migrated on load: decoded with the
+    original reader — including its preorder and dangling-index checks —
+    then re-encoded as an arena. *)
 
 open Xpdl_core
 open Xpdl_units
@@ -198,7 +200,8 @@ let u32 s o = i32 s o land 0xFFFFFFFF
 (** {1 Codec constants} *)
 
 let magic = "XPDLRT"
-let format_version = 2
+let format_version = 3
+let v2_version = 2
 let v1_version = 1
 
 (* magic (6) + version (8) + 9 length fields (72) + checksum (8) *)
@@ -228,27 +231,11 @@ let dim_of_code = function
   | 8 -> Units.Scalar
   | n -> corrupt "XPDL606" "bad dimension code %d" n
 
-(* A 63-bit FNV-1a variant folding eight bytes at a time; the top bit is
-   masked off so the value round-trips through the u64 header slot. *)
-let fnv_prime = 0x100000001b3
-
-let checksum_sub (s : string) pos len =
-  let h = ref 0x2545F4914F6CDD1D in
-  let words = len / 8 in
-  for w = 0 to words - 1 do
-    let c = Int64.to_int (String.get_int64_le s (pos + (8 * w))) in
-    h := (!h lxor c) * fnv_prime land max_int
-  done;
-  for o = pos + (8 * words) to pos + len - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s o)) * fnv_prime land max_int
-  done;
-  !h
-
 (** {1 Encoder}
 
     All construction paths — {!of_model}, v1 migration, re-encoding a
     patched arena — funnel through one encoder over a neutral node
-    description, so there is exactly one writer of the v2 layout.
+    description, so there is exactly one writer of the arena layout.
     Tables are interned in first-appearance order (deterministic given
     the input, independent of the process-global {!Keys} pool), and
     per-node attributes are sorted by local key id, so encoding the same
@@ -284,6 +271,14 @@ let intern_in it s =
 
 let w32 b o v = Bytes.set_int32_le b o (Int32.of_int v)
 let w64 b o v = Bytes.set_int64_le b o (Int64.of_int v)
+
+(* Stamp the current version and the payload checksum into a complete
+   arena image and hand it out as the immutable byte string. *)
+let seal b =
+  w64 b 6 format_version;
+  let len = Bytes.length b - header_size in
+  w64 b checksum_off (Checksum.sub (Bytes.unsafe_to_string b) header_size len);
+  Bytes.unsafe_to_string b
 
 let encode (nodes : enc_node array) : string =
   let n = Array.length nodes in
@@ -341,7 +336,6 @@ let encode (nodes : enc_node array) : string =
   let total = o_attr_val + (8 * a) in
   let b = Bytes.create total in
   Bytes.blit_string magic 0 b 0 (String.length magic);
-  w64 b 6 format_version;
   w64 b 14 n;
   w64 b 22 a;
   w64 b 30 nk;
@@ -351,7 +345,6 @@ let encode (nodes : enc_node array) : string =
   w64 b 62 keys.it_blob;
   w64 b 70 strs.it_blob;
   w64 b 78 total;
-  w64 b checksum_off 0;
   let write_table it o_off o_blob =
     let items = Array.of_list (List.rev it.it_rev) in
     let off = ref 0 in
@@ -384,13 +377,11 @@ let encode (nodes : enc_node array) : string =
         attrs)
     prep;
   w32 b (o_attr_off + (4 * n)) !ai;
-  let sum = checksum_sub (Bytes.unsafe_to_string b) header_size (total - header_size) in
-  Bytes.set_int64_le b checksum_off (Int64.of_int sum);
-  Bytes.unsafe_to_string b
+  seal b
 
-(** {1 Version-2 decoder: validate + wrap} *)
+(** {1 Arena decoder (versions 2 and 3): validate + wrap} *)
 
-let of_bytes_v2 (s : string) : t =
+let of_bytes_arena (s : string) : t =
   let len = String.length s in
   if len < header_size then
     corrupt "XPDL603" "runtime model truncated: %d bytes is shorter than the %d-byte header" len
@@ -857,9 +848,28 @@ let of_model (root_el : Model.element) : t =
         })
     !items;
   (* run the encoded image through the one validated load path *)
-  of_bytes_v2 (encode enc)
+  of_bytes_arena (encode enc)
 
-(** {1 Version-1 migration reader}
+(** {1 Legacy readers}
+
+    Version 2 has the version-3 layout but an older payload checksum
+    that masked bits 62-63 of every aligned word out of the sum.  A v2
+    image loads as-is; {!verify} checks it against that sum, and saving
+    it writes a v3 image. *)
+
+let v2_checksum_sub (s : string) pos len =
+  let h = ref 0x2545F4914F6CDD1D in
+  let words = len / 8 in
+  for w = 0 to words - 1 do
+    let c = Int64.to_int (String.get_int64_le s (pos + (8 * w))) in
+    h := (!h lxor c) * 0x100000001b3 land max_int
+  done;
+  for o = pos + (8 * words) to pos + len - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s o)) * 0x100000001b3 land max_int
+  done;
+  !h
+
+(** {2 Version-1 migration reader}
 
     The seed release's codec: length-prefixed strings, fixed 64-bit
     ints, explicit child arrays, derived spans.  Retained read-only —
@@ -973,7 +983,7 @@ let of_bytes_v1 (s : string) : t =
         { ek = tag; eid = ident; ety = ty; eattrs = attrs; eend = ends.(i) })
       raw
   in
-  of_bytes_v2 (encode enc)
+  of_bytes_arena (encode enc)
 
 (** {1 Codec entry points} *)
 
@@ -984,15 +994,13 @@ let of_bytes (s : string) : t =
   if String.length s < mlen + 8 then
     corrupt "XPDL603" "runtime model truncated before the version field";
   let v = String.get_int64_le s mlen in
-  if Int64.equal v 2L then of_bytes_v2 s
-  else if Int64.equal v 1L then of_bytes_v1 s
+  let is version = Int64.equal v (Int64.of_int version) in
+  if is format_version || is v2_version then of_bytes_arena s
+  else if is v1_version then of_bytes_v1 s
   else corrupt "XPDL602" "unsupported runtime model format version %Ld" v
 
 let of_bytes_result s = match of_bytes s with t -> Ok t | exception Corrupt d -> Error d
 
-(* Re-encode only when the attribute overlay is non-empty; otherwise the
-   load-time byte image is returned as-is (save/load/save is the
-   identity on bytes). *)
 let enc_of_arena t =
   Array.init t.n (fun i ->
       let v = node t i in
@@ -1004,23 +1012,38 @@ let enc_of_arena t =
         eend = v.n_subtree_end;
       })
 
-let to_bytes t = if Hashtbl.length t.patched = 0 then t.buf else encode (enc_of_arena t)
+let version_of buf = Int64.to_int (String.get_int64_le buf 6)
+let version t = version_of t.buf
 
-let verify t =
-  let bytes = to_bytes t in
-  let stored = Int64.to_int (String.get_int64_le bytes checksum_off) in
-  let got = checksum_sub bytes header_size (String.length bytes - header_size) in
-  if got = stored then Ok ()
+let check_sum bytes =
+  let sum = if version_of bytes = v2_version then v2_checksum_sub else Checksum.sub in
+  let stored = String.get_int64_le bytes checksum_off in
+  let got = sum bytes header_size (String.length bytes - header_size) in
+  if Int64.equal (Int64.of_int got) stored then Ok ()
   else
     Error
       (Diagnostic.error ~code:"XPDL604"
-         "runtime model checksum mismatch: stored %016x, computed %016x" stored got)
+         "runtime model checksum mismatch: stored %016Lx, computed %016x" stored got)
+
+(* Re-encode only when the attribute overlay is non-empty; otherwise the
+   load-time byte image is returned as-is (save/load/save is the
+   identity on bytes).  A v2 image keeps its layout and is re-sealed as
+   v3 — after passing its own sum, so saving never launders damage. *)
+let to_bytes t =
+  if Hashtbl.length t.patched > 0 then encode (enc_of_arena t)
+  else if version_of t.buf = format_version then t.buf
+  else
+    match check_sum t.buf with
+    | Ok () -> seal (Bytes.of_string t.buf)
+    | Error d -> raise (Corrupt d)
+
+let verify t = check_sum (if Hashtbl.length t.patched = 0 then t.buf else to_bytes t)
 
 (** {1 Legacy version-1 writer}
 
     Byte-compatible with the seed release's [to_bytes]; kept so the
     migration path stays testable (and benchable) without checked-in v1
-    artifacts for every model.  New files are always written as v2. *)
+    artifacts for every model.  New files are always written as v3. *)
 
 let put_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
 let put_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)

@@ -158,15 +158,22 @@ val fold_subtree : t -> ('a -> node -> 'a) -> 'a -> node -> 'a
 
 (** {1 Binary codec}
 
-    Version 2: the file {e is} the arena — a checksummed header,
+    Version 3: the file {e is} the arena — a checksummed header,
     interned kind/key/string tables, then little-endian column arrays.
     {!of_bytes} validates the header arithmetic, the preorder span
     structure and the table offsets in one O(n) pass and wraps the
     buffer; it does {e not} re-verify the full payload checksum on the
-    hot path (use {!verify} for that, e.g. on artifacts at rest). *)
+    hot path (use {!verify} for that, e.g. on artifacts at rest).
+    Version 2 has the same layout with an older checksum that missed
+    bits 62-63 of each aligned payload word; such files still load and
+    verify, and re-save as version 3. *)
 
 val magic : string
 val format_version : int
+
+(** Format version of the loaded image: 2 or 3 ({!format_version});
+    a migrated version-1 file is a version-3 arena. *)
+val version : t -> int
 
 (** Raised on malformed input; the payload is a coded [XPDL6xx]
     diagnostic (bad magic [XPDL601], unsupported version [XPDL602],
@@ -177,11 +184,13 @@ exception Corrupt of Diagnostic.t
 
 (** Serialize.  For an unpatched arena this returns the load-time byte
     image itself (zero-copy, byte-identical across save/load/save);
-    after {!patch_attrs} it re-encodes. *)
+    after {!patch_attrs} it re-encodes.  A version-2 image keeps its
+    layout and is re-stamped as version 3 with the new checksum; one
+    that fails its own checksum raises {!Corrupt} ([XPDL604]). *)
 val to_bytes : t -> string
 
-(** Deserialize; raises {!Corrupt} on malformed input.  Version-2
-    buffers are validated and wrapped without rebuilding; version-1
+(** Deserialize; raises {!Corrupt} on malformed input.  Version-3 and
+    version-2 buffers are validated and wrapped without rebuilding; version-1
     files are migrated (decoded and re-encoded) transparently. *)
 val of_bytes : string -> t
 
@@ -191,14 +200,15 @@ val of_bytes_result : string -> (t, Diagnostic.t) result
 
 val of_file_result : string -> (t, Diagnostic.t) result
 
-(** Verify the full payload checksum of the arena's byte image
-    ([Error] carries an [XPDL604] diagnostic).  O(file size); load
+(** Verify the full payload checksum of the arena's byte image against
+    the sum of its format version ([Error] carries an [XPDL604]
+    diagnostic).  O(file size); load
     keeps this off the init path so callers choose when to pay it. *)
 val verify : t -> (unit, Diagnostic.t) result
 
 (** Serialize in the legacy version-1 node-stream format (the seed
     release's codec).  Kept for migration round-trip tests and the
-    before/after arm of experiment E15; new files are always v2. *)
+    before/after arm of experiment E15; new files are always v3. *)
 val to_bytes_v1 : t -> string
 
 val to_file : string -> t -> unit

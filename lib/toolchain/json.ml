@@ -9,33 +9,21 @@
 
 open Xpdl_core
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Fmt.kstr (Buffer.add_string buf) "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let string_field buf key v = Fmt.kstr (Buffer.add_string buf) "%S: \"%s\"" key (escape v)
+let key_field buf key = Fmt.kstr (Buffer.add_string buf) "%s: " (Json_string.quote key)
+let string_field buf key v =
+  key_field buf key;
+  Buffer.add_string buf (Json_string.quote v)
 
 let add_value buf (v : Model.attr_value) =
   match v with
-  | Model.Str s -> Fmt.kstr (Buffer.add_string buf) "\"%s\"" (escape s)
+  | Model.Str s -> Buffer.add_string buf (Json_string.quote s)
   | Model.Int i -> Buffer.add_string buf (string_of_int i)
   | Model.Float f -> Fmt.kstr (Buffer.add_string buf) "%g" f
   | Model.Bool b -> Buffer.add_string buf (string_of_bool b)
   | Model.Quantity (q, _) ->
       Fmt.kstr (Buffer.add_string buf) {|{"value": %g, "unit": "%s"}|}
         (Xpdl_units.Units.value q)
-        (escape
+        (Json_string.escape
            (match Xpdl_units.Units.dim q with
            | Xpdl_units.Units.Size -> "B"
            | Xpdl_units.Units.Frequency -> "Hz"
@@ -46,7 +34,7 @@ let add_value buf (v : Model.attr_value) =
            | Xpdl_units.Units.Voltage -> "V"
            | Xpdl_units.Units.Temperature -> "K"
            | Xpdl_units.Units.Scalar -> ""))
-  | Model.Expr (_, src) -> Fmt.kstr (Buffer.add_string buf) "\"%s\"" (escape src)
+  | Model.Expr (_, src) -> Buffer.add_string buf (Json_string.quote src)
   | Model.Unknown -> Buffer.add_string buf "null"
 
 let rec add_element buf ~indent depth (e : Model.element) =
@@ -63,7 +51,7 @@ let rec add_element buf ~indent depth (e : Model.element) =
   List.iter
     (fun (k, v) ->
       add_field (fun () ->
-          Fmt.kstr (Buffer.add_string buf) "%S: " k;
+          key_field buf k;
           add_value buf v))
     e.Model.attrs;
   if e.Model.children <> [] then

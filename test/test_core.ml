@@ -570,9 +570,59 @@ let test_psm_unreachable_state_warns () =
   let diags = Power.validate_state_machine (List.hd pm.Power.pm_machines) in
   Alcotest.(check bool) "warns about B" true (List.length diags > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Par.map_slots: the one parallel map *)
+
+let test_map_slots_deterministic () =
+  List.iter
+    (fun n ->
+      let expected = Array.init n (fun i -> i * i) in
+      List.iter
+        (fun jobs ->
+          let calls = Array.init n (fun _ -> Atomic.make 0) in
+          let got =
+            Par.map_slots ~jobs n (fun i ->
+                Atomic.incr calls.(i);
+                i * i)
+          in
+          Alcotest.(check (array int)) (Fmt.str "n=%d jobs=%d equals jobs=1" n jobs) expected got;
+          Array.iteri
+            (fun i c ->
+              if Atomic.get c <> 1 then
+                Alcotest.failf "n=%d jobs=%d: slot %d computed %d times" n jobs i (Atomic.get c))
+            calls)
+        [ 1; 2; 64 ])
+    [ 0; 1; 7; 1000 ]
+
+(* a raise in any worker — the calling domain's included — surfaces only
+   after every spawned domain has been joined: nothing is still inside
+   [f] when the exception arrives *)
+let test_map_slots_joins_before_raising () =
+  let active = Atomic.make 0 in
+  let f i =
+    Atomic.incr active;
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr active)
+      (fun () ->
+        Unix.sleepf 0.0005;
+        if i = 3 then failwith "slot 3")
+  in
+  match Par.map_slots ~jobs:4 64 f with
+  | _ -> Alcotest.fail "a raising slot must re-raise"
+  | exception Failure m ->
+      Alcotest.(check string) "the worker's exception" "slot 3" m;
+      Alcotest.(check int) "no worker still running" 0 (Atomic.get active)
+
 let () =
   Alcotest.run "core"
     [
+      ( "par",
+        [
+          Alcotest.test_case "map_slots = Array.init, each slot once" `Quick
+            test_map_slots_deterministic;
+          Alcotest.test_case "map_slots joins before re-raising" `Quick
+            test_map_slots_joins_before_raising;
+        ] );
       ( "schema",
         [
           Alcotest.test_case "kind round-trip" `Quick test_kind_roundtrip;

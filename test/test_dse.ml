@@ -249,6 +249,16 @@ let test_report_json_shape () =
       if not (contains needle) then Alcotest.failf "report JSON lacks %s" needle)
     [ {|"axes":|}; {|"front":|}; {|"sensitivity":|}; {|"errors":0|}; {|"pruned":6|} ]
 
+(* axis names reach the report verbatim: quotes, backslashes and control
+   characters must be escaped, or the report stops being JSON *)
+let test_report_json_escaping () =
+  let tmpl = load_template () in
+  let axes = [ Dse.axis "x\\" [ 1. ]; Dse.axis "a\"b" [ 1.; 2. ]; Dse.axis "new\nline" [ 1. ] ] in
+  let json = Dse.report_to_json (run_quick ~axes tmpl) in
+  match Xpdl_toolchain.Json.check json with
+  | () -> ()
+  | exception Xpdl_toolchain.Json.Invalid_json m -> Alcotest.failf "report is not JSON: %s" m
+
 let () =
   Alcotest.run "dse"
     [
@@ -278,5 +288,6 @@ let () =
         [
           Alcotest.test_case "front semantics" `Quick test_pareto_front;
           Alcotest.test_case "report JSON shape" `Quick test_report_json_shape;
+          Alcotest.test_case "report JSON escapes axis names" `Quick test_report_json_escaping;
         ] );
     ]

@@ -173,6 +173,16 @@ let test_replay_torn_tail () =
       | Error d -> Alcotest.(check string) "bad magic code" "XPDL900" d.Diagnostic.code
       | Ok _ -> Alcotest.fail "bad magic must not replay")
 
+(* walk the journal frames to find the last record's payload offset *)
+let last_payload s =
+  let pos = ref 8 and last = ref 0 in
+  while !pos < String.length s do
+    last := !pos;
+    let len = Int32.to_int (String.get_int32_le s !pos) land 0xFFFFFFFF in
+    pos := !pos + 12 + len
+  done;
+  !last + 12
+
 (* Every bit of a record's payload must be covered by the checksum —
    including bits 62-63 of each aligned 8-byte word, which a 63-bit
    folding checksum is prone to masking out (regression: a 0x40 flip on
@@ -183,14 +193,7 @@ let test_replay_checksum_covers_high_bits () =
       append_script dir;
       let path = Wal.log_path dir in
       let s = read_file path in
-      (* walk the frames to find the last record's payload offset *)
-      let pos = ref 8 and last = ref 0 in
-      while !pos < String.length s do
-        last := !pos;
-        let len = Int32.to_int (String.get_int32_le s !pos) land 0xFFFFFFFF in
-        pos := !pos + 12 + len
-      done;
-      let payload = !last + 12 in
+      let payload = last_payload s in
       (* byte 7 of the payload's first aligned word, top bit of 0x40 =
          bit 62 of the word *)
       let target = payload + 7 in
@@ -322,6 +325,80 @@ let test_repo_index_save_durable () =
       | Ok () -> Alcotest.fail "save into a missing directory must fail")
 
 (* ------------------------------------------------------------------ *)
+(* every bit of an aligned payload word is covered, in every format *)
+
+(* The bit positions [0..63] of the checksum-aligned 8-byte word at
+   [off] whose single-bit flip [rejected] fails to notice. *)
+let missed_bits s off rejected =
+  List.filter
+    (fun bit ->
+      let b = Bytes.of_string s in
+      let at = off + (bit / 8) in
+      Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl (bit mod 8))));
+      not (rejected (Bytes.to_string b)))
+    (List.init 64 Fun.id)
+
+let has_code code = function Error d -> d.Diagnostic.code = code | Ok _ -> false
+
+let test_xrt_bit_flips () =
+  let module Ir = Xpdl_toolchain.Ir in
+  let s = Ir.to_bytes (Ir.of_model (small_tree ())) in
+  (* first word of the checksum grid (94 + 8k) inside the string blob:
+     strings decode lazily, so only the checksum can notice a flip there *)
+  let h k = Int64.to_int (String.get_int64_le s (14 + (8 * k))) in
+  let blob = 94 + (4 * (h 2 + 1)) + h 5 + (4 * (h 3 + 1)) + h 6 + (4 * (h 4 + 1)) in
+  let off = 94 + ((blob - 94 + 7) / 8 * 8) in
+  Alcotest.(check bool) "word inside the string blob" true (off + 8 <= blob + h 7);
+  let rejected b =
+    match Ir.of_bytes b with
+    | ir -> has_code "XPDL604" (Ir.verify ir)
+    | exception Ir.Corrupt _ -> false
+  in
+  Alcotest.(check (list int)) "every flip fails verify" [] (missed_bits s off rejected)
+
+let test_xpdlidx_bit_flips () =
+  with_temp_dir "xpdl-idx-bits" (fun root ->
+      let idx =
+        {
+          Repo_index.files =
+            [|
+              {
+                Repo_index.fr_path = "cpu.xpdl";
+                fr_mtime = 1.;
+                fr_size = 64;
+                fr_quarantined = false;
+                fr_parse_diags = [];
+                fr_descs = [];
+              };
+            |];
+        }
+      in
+      let s = Repo_index.encode idx in
+      (* the string blob follows the (nstr+1)-entry offset table; with one
+         string it starts on the checksum grid (70 + 8k), and its first
+         word is the path "cpu.xpdl", which no structural check reads *)
+      let off = 70 + (4 * (Int64.to_int (String.get_int64_le s 38) + 1)) in
+      Alcotest.(check int) "word on the checksum grid" 0 ((off - 70) mod 8);
+      let rejected b =
+        write_file (Repo_index.path_for_root root) b;
+        has_code "XPDL311" (Repo_index.load ~root)
+      in
+      Alcotest.(check (list int)) "every flip rejected" [] (missed_bits s off rejected))
+
+let test_wal_bit_flips () =
+  with_temp_dir "xpdl-wal-bits" (fun dir ->
+      append_script dir;
+      let path = Wal.log_path dir in
+      let s = read_file path in
+      let rejected b =
+        write_file path b;
+        match Wal.replay ~dir with
+        | Ok (records, [ d ], _) -> List.length records = 4 && d.Diagnostic.code = "XPDL901"
+        | _ -> false
+      in
+      Alcotest.(check (list int)) "every flip truncates" [] (missed_bits s (last_payload s) rejected))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "durable"
@@ -341,4 +418,10 @@ let () =
           case "torn tail recovery" test_store_recover_torn_tail;
         ] );
       ("repo-index", [ case "fsynced atomic save" test_repo_index_save_durable ]);
+      ( "bit-flips",
+        [
+          case ".xrt payload word, all 64 bits" test_xrt_bit_flips;
+          case ".xpdlidx payload word, all 64 bits" test_xpdlidx_bit_flips;
+          case "WAL record payload word, all 64 bits" test_wal_bit_flips;
+        ] );
     ]

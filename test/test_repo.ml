@@ -297,6 +297,31 @@ let test_corrupt_index_rebuild () =
       let codes = List.map (fun d -> d.Xpdl_core.Diagnostic.code) (Xpdl_repo.Repo.diagnostics again) in
       Alcotest.(check bool) "healthy after rebuild" false (List.mem "XPDL311" codes))
 
+(* An index of an older format version (v1 summed without bits 62-63)
+   is a stale cache: rejected with XPDL311 and rewritten as the current
+   version, with the same contents. *)
+let test_old_index_version_rebuild () =
+  with_temp_dir (fun dir ->
+      List.iter (fun (n, s) -> write_file dir n s) fleet_files;
+      let cold = Xpdl_repo.Repo.create () in
+      Xpdl_repo.Repo.open_root cold dir;
+      let sidecar = Filename.concat dir ".xpdlidx" in
+      let version () =
+        Int64.to_int
+          (String.get_int64_le (In_channel.with_open_bin sidecar In_channel.input_all) 6)
+      in
+      Alcotest.(check int) "written as v2" 2 (version ());
+      let b = Bytes.of_string (In_channel.with_open_bin sidecar In_channel.input_all) in
+      Bytes.set_int64_le b 6 1L;
+      Out_channel.with_open_bin sidecar (fun oc -> Out_channel.output_bytes oc b);
+      let r = Xpdl_repo.Repo.create () in
+      Xpdl_repo.Repo.open_root r dir;
+      let codes = List.map (fun d -> d.Xpdl_core.Diagnostic.code) (Xpdl_repo.Repo.diagnostics r) in
+      Alcotest.(check bool) "XPDL311 diagnosed" true (List.mem "XPDL311" codes);
+      Alcotest.(check (list string)) "same contents"
+        (Xpdl_repo.Repo.identifiers cold) (Xpdl_repo.Repo.identifiers r);
+      Alcotest.(check int) "rebuilt as v2" 2 (version ()))
+
 (* Satellite: XPDL302 shadowing under lazy loading — the surviving
    definition is the last one in scan order, no matter which entries are
    materialized first. *)
@@ -422,6 +447,7 @@ let () =
           case "open_root parity (cold + warm)" test_open_root_parity;
           case "staleness re-scan" test_staleness_rescan;
           case "corrupt index rebuild" test_corrupt_index_rebuild;
+          case "old index version rebuilt" test_old_index_version_rebuild;
           case "shadowing under lazy load" test_lazy_shadowing_order;
           case "quarantine dedup" test_quarantine_dedup;
           case "unknown authority dedup" test_unknown_authority_dedup;

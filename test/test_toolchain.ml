@@ -284,6 +284,32 @@ let test_codec_rebuilds_spans () =
   done;
   check_spans_against_naive "reloaded" ir2
 
+(* a format-v2 image (the valid model the corrupt fixtures start from),
+   written before the checksum covered bits 62-63: it loads and verifies
+   against the v2 sum, and re-saves as a v3 image with the same layout *)
+let test_v2_fixture () =
+  let v2 = In_channel.with_open_bin "fixtures/fixture_box_v2.xrt" In_channel.input_all in
+  let ir = Ir.of_bytes v2 in
+  Alcotest.(check int) "loads as v2" 2 (Ir.version ir);
+  Alcotest.(check bool) "cpu0 findable" true (Ir.find_by_ident ir "cpu0" <> None);
+  (match Ir.verify ir with
+  | Ok () -> ()
+  | Error d -> Alcotest.failf "v2 fixture failed verify: %s" d.Xpdl_core.Diagnostic.message);
+  let v3 = Ir.to_bytes ir in
+  let ir3 = Ir.of_bytes v3 in
+  Alcotest.(check int) "re-saves as v3" Ir.format_version (Ir.version ir3);
+  (match Ir.verify ir3 with
+  | Ok () -> ()
+  | Error d -> Alcotest.failf "re-saved v3 failed verify: %s" d.Xpdl_core.Diagnostic.message);
+  let payload s = String.sub s 94 (String.length s - 94) in
+  Alcotest.(check string) "same layout after the header" (payload v2) (payload v3);
+  (* a damaged v2 image is never re-sealed into a valid v3 one *)
+  let bad = Ir.of_file "fixtures/errors/bad_checksum.xrt" in
+  match Ir.to_bytes bad with
+  | _ -> Alcotest.fail "saving a damaged v2 image must fail"
+  | exception Ir.Corrupt d ->
+      Alcotest.(check string) "save code" "XPDL604" d.Xpdl_core.Diagnostic.code
+
 (* a format-v1 file written by the seed release, before spans and key
    interning existed: loading must still work, with everything derived *)
 let test_v1_fixture () =
@@ -623,6 +649,7 @@ let () =
           case "interned attribute lookup" test_interned_attrs;
           case "codec rebuilds spans" test_codec_rebuilds_spans;
           case "seed-era v1 fixture loads" test_v1_fixture;
+          case "checksum-v2 fixture loads, verifies, re-saves as v3" test_v2_fixture;
           case "broken trees rejected" test_rejects_broken_trees;
           QCheck_alcotest.to_alcotest prop_spans_random_models;
         ] );

@@ -1,9 +1,15 @@
 (* Writes the corrupt-input codec fixtures under test/fixtures/errors/.
 
-   Each fixture starts from the same small, valid v2 runtime model and is
+   Each fixture starts from the same small, valid runtime model and is
    then damaged in exactly one way, so every file maps to one stable
    XPDL6xx diagnostic (see test_toolchain.ml's "corrupt fixture files"
    test for the expected code per file).
+
+   The committed fixtures were written by the format-version-2 codec;
+   test/fixtures/fixture_box_v2.xrt is the undamaged v2 image they start
+   from and pins v2 read compatibility.  This tool now writes version-3
+   images, so rerunning it changes every file: do not regenerate the
+   committed fixtures with it.
 
    Usage: dune exec test/tools/gen_error_fixtures.exe -- <output-dir> *)
 
