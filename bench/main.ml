@@ -107,17 +107,20 @@ let wall f =
    lowest max(5, runs/3), drop any of those beyond 3 scaled MADs of
    their own median.  Complements [time_ns]: Bechamel's OLS amortizes
    per-run noise but needs many iterations per sample, which hides
-   cold-path effects behind allocator reuse. *)
-let time_ns_trimmed ?(warmup = 16) ?runs f =
+   cold-path effects behind allocator reuse.  [setup] runs, untimed,
+   before every run. *)
+let time_ns_trimmed ?(warmup = 16) ?runs ?(setup = ignore) f =
   let runs =
     match runs with Some r -> max 5 r | None -> max 31 (int_of_float (quota_s *. 400.))
   in
   let clock = Monotonic_clock.make () in
   for _ = 1 to warmup do
+    setup ();
     ignore (Sys.opaque_identity (f ()))
   done;
   let samples =
     Array.init runs (fun _ ->
+        setup ();
         let t0 = Monotonic_clock.get clock in
         ignore (Sys.opaque_identity (f ()));
         Monotonic_clock.get clock -. t0)
@@ -896,6 +899,77 @@ let e15 () =
 (* ------------------------------------------------------------------ *)
 (* E16: concurrent model-query server — MVCC snapshots under load *)
 
+(* Pin -> query@rev -> unpin in process, each right after an edit, on
+   two model sizes.  The snapshot is a fork of the head's synced arena,
+   so its cost should not grow much with the model (ROADMAP item 3:
+   liu_gpu_server vs synthetic_10k within 2x).  The query asks for an
+   aggregate the head has already memoized, so it is a memo hit on the
+   snapshot.  What one Pin allocates per model element is the least over
+   a few rounds: a window in which the runtime finishes a GC cycle can
+   be charged more than the code in it allocated. *)
+let e16_pin_in_process () =
+  let module Hub = Xpdl_serve.Hub in
+  let module P = Xpdl_serve.Protocol in
+  let module M = Xpdl_core.Model in
+  let arm name model =
+    let hub = Hub.create model in
+    let s = Hub.session hub in
+    let n = Store.size (Hub.store hub) in
+    let core =
+      List.hd (Store.find_paths (Hub.store hub) (fun e -> e.M.kind = Xpdl_core.Schema.Core))
+    in
+    let request req =
+      match Hub.handle hub s req with
+      | P.Ok v -> v
+      | r -> failwith (Fmt.str "E16: %a answered %a" P.pp_request req P.pp_response r)
+    in
+    let pin () = match request P.Pin with P.Int rev -> rev | _ -> failwith "E16: pin" in
+    List.iter
+      (fun q -> ignore (request (P.Query { rev = -1; q })))
+      [ "cores"; "static-power"; "memory"; "cuda-devices" ];
+    let i = ref 0 in
+    let edit () =
+      incr i;
+      ignore
+        (request
+           (P.Edit
+              {
+                path = core;
+                key = "static_power";
+                value = string_of_int (1 + (!i mod 40));
+                unit_spelling = Some "W";
+                req_id = None;
+              }))
+    in
+    let round () =
+      let rev = pin () in
+      ignore (request (P.Query { rev; q = "cores" }));
+      ignore (request (P.Unpin rev))
+    in
+    let t = time_ns_trimmed ~setup:edit round in
+    let bytes = ref infinity in
+    for _ = 1 to 5 do
+      edit ();
+      let before = Gc.allocated_bytes () in
+      let rev = pin () in
+      bytes := Float.min !bytes (Gc.allocated_bytes () -. before);
+      ignore (request (P.Unpin rev))
+    done;
+    let per_element = !bytes /. float_of_int n in
+    record ~metric:(Fmt.str "serve/pin/%s/round_trip" name) ~value:t ~unit_:"ns/run" ();
+    record ~metric:(Fmt.str "serve/pin/%s/bytes_per_element" name) ~value:per_element ~unit_:"B" ();
+    Fmt.pr "  %-16s %6d elements: pin -> query@rev -> unpin %8.1f us; a pin allocates %.1f B/element@."
+      name n (t /. 1e3) per_element;
+    (t, per_element)
+  in
+  let t_liu, b_liu = arm "liu_gpu_server" (composed "liu_gpu_server") in
+  let t_10k, b_10k = arm "synthetic_10k" (synthetic_tree ~fanout:10 ~depth:3) in
+  let ratio = t_10k /. t_liu in
+  record ~metric:"serve/pin/size_ratio" ~value:ratio ~unit_:"x" ();
+  record ~metric:"serve/pin/bytes_per_element" ~value:(Float.max b_liu b_10k) ~unit_:"B" ();
+  Fmt.pr "  pin round trip synthetic_10k / liu_gpu_server: %.2fx (target < 2x: %s)@." ratio
+    (if ratio < 2. then "MET" else "MISSED")
+
 (* A live server over a unix socket, driven by the load generator: 1-
    and 4-client closed loops (saturated service latency + scaling), an
    open loop at a fixed schedule (latency with queueing charged to the
@@ -904,6 +978,7 @@ let e15 () =
    several journal compactions. *)
 let e16 () =
   header "E16: concurrent model-query serving (MVCC snapshots under load)";
+  e16_pin_in_process ();
   let module Hub = Xpdl_serve.Hub in
   let module Server = Xpdl_serve.Server in
   let module Loadgen = Xpdl_serve.Loadgen in

@@ -242,15 +242,51 @@ let check_arena_oracle (doc : Dom.element) : string option =
 
 (* --- property: store-incremental --- *)
 
+(* Every memoized query family of a handle, rendered so that equal
+   strings mean bit-identical answers: core and CUDA-device counts,
+   static power, memory and min/max frequency over the whole model and
+   over the root's first child, the installed-software list and one
+   selector (both returned as node records, so stale attributes show). *)
+let memo_families q : (string * string) list =
+  let value = function
+    | Ir.VQty (v, _) | Ir.VFloat v -> Fmt.str "%h" v
+    | v -> Fmt.str "%a" Ir.pp_value v
+  in
+  let element (e : Query.element) =
+    Fmt.str "%s{%s}" e.Ir.n_path
+      (String.concat ","
+         (Array.to_list (Array.map (fun (k, v) -> Ir.key_name k ^ "=" ^ value v) e.Ir.n_attrs)))
+  in
+  let freq = function None -> "none" | Some f -> Fmt.str "%h" f in
+  let aggregates tag within =
+    [
+      (tag ^ "count_cores", string_of_int (Query.count_cores ?within q));
+      (tag ^ "count_cuda_devices", string_of_int (Query.count_cuda_devices ?within q));
+      (tag ^ "total_static_power", Fmt.str "%h" (Query.total_static_power ?within q));
+      (tag ^ "total_memory_bytes", Fmt.str "%h" (Query.total_memory_bytes ?within q));
+      (tag ^ "min_frequency", freq (Query.min_frequency ?within q));
+      (tag ^ "max_frequency", freq (Query.max_frequency ?within q));
+    ]
+  in
+  let first_child = match Query.children q (Query.root q) with c :: _ -> Some c | [] -> None in
+  aggregates "" None
+  @ (match first_child with Some c -> aggregates "first child " (Some c) | None -> [])
+  @ [
+      ("installed_software", String.concat ";" (List.map element (Query.installed_software q)));
+      ("select //memory", String.concat ";" (List.map element (Query.select q "//memory")));
+    ]
+
 (* Apply a random edit sequence through the incremental store and after
    every step compare each incrementally maintained value against a
    from-scratch recomputation on the store's current model.  "Equal"
    means bit-identical for floats — the incremental evaluator promises
    the same combination order as [Aggregate.synthesize], not an
    approximation of it.  A [Query.of_store] handle created before the
-   edits rides along and is compared against a handle rebuilt from the
-   current model (exercising both the attribute-patch and the
-   structural-rebuild sync paths). *)
+   edits rides along and is compared, on every memoized family, against
+   a handle rebuilt from the current model (exercising the attribute
+   patch with its key-aware memo pruning and the structural rebuild).
+   The edits set and remove each key a derived fold reads
+   ([static_power], [size], [frequency]) and one key none reads. *)
 let check_store_incremental (doc : Dom.element) : string option =
   guarded @@ fun () ->
   match compose_doc doc with
@@ -259,8 +295,10 @@ let check_store_incremental (doc : Dom.element) : string option =
       let store = Store.of_model m in
       let tracked = Query.of_store store in
       (* the edit stream must be deterministic across shrink re-runs of
-         the same document, so it gets its own fixed-seed generator *)
-      let g = Gen.create ~seed:default_seed in
+         the same document, so it gets its own generator; seeding it from
+         the document's text keeps that and still gives every document
+         its own sequence of edit kinds *)
+      let g = Gen.case ~seed:default_seed ~salt:(Print.to_string doc) in
       let fail fmt = Fmt.kstr Option.some fmt in
       let bits = Int64.bits_of_float in
       let check_step step =
@@ -274,17 +312,12 @@ let check_store_incremental (doc : Dom.element) : string option =
           fail "step %d: core_count incremental=%d from-scratch=%d" step cc_inc cc_ref
         else if bits mb_inc <> bits mb_ref then
           fail "step %d: memory_bytes incremental=%h from-scratch=%h" step mb_inc mb_ref
-        else begin
-          let rebuilt = Query.of_model scratch in
-          let qc_inc = Query.count_cores tracked and qc_ref = Query.count_cores rebuilt in
-          let qp_inc = Query.total_static_power tracked
-          and qp_ref = Query.total_static_power rebuilt in
-          if qc_inc <> qc_ref then
-            fail "step %d: query count_cores tracked=%d rebuilt=%d" step qc_inc qc_ref
-          else if bits qp_inc <> bits qp_ref then
-            fail "step %d: query total_static_power tracked=%h rebuilt=%h" step qp_inc qp_ref
-          else None
-        end
+        else
+          List.find_map
+            (fun ((family, got), (_, want)) ->
+              if String.equal got want then None
+              else fail "step %d: query %s tracked=%s rebuilt=%s" step family got want)
+            (List.combine (memo_families tracked) (memo_families (Query.of_model scratch)))
       in
       let fresh_leaf () =
         if Gen.chance g 0.5 then
@@ -294,6 +327,9 @@ let check_store_incremental (doc : Dom.element) : string option =
                 ( "static_power",
                   Model.Quantity
                     (Xpdl_units.Units.watts (float_of_int (1 + Gen.int g 40) /. 8.), "W") );
+                ( "frequency",
+                  Model.Quantity (Xpdl_units.Units.hertz (float_of_int (1 + Gen.int g 40) *. 1e8), "Hz")
+                );
               ]
         else
           Model.make Schema.Memory
@@ -309,7 +345,7 @@ let check_store_incremental (doc : Dom.element) : string option =
           List.rev (Model.fold_index_paths (fun acc p _ -> p :: acc) [] (Store.model store))
         in
         let path = Gen.pick g paths in
-        match Gen.int g 5 with
+        match Gen.int g 7 with
         | 0 ->
             Store.set_attr store path "static_power"
               (Model.Quantity
@@ -318,8 +354,14 @@ let check_store_incremental (doc : Dom.element) : string option =
             Store.set_attr store path "size"
               (Model.Quantity
                  (Xpdl_units.Units.bytes (float_of_int (1 + Gen.int g 1_000_000)), "B"))
-        | 2 -> Store.remove_attr store path "static_power"
-        | 3 -> Store.insert_child store path (fresh_leaf ())
+        | 2 ->
+            Store.set_attr store path "frequency"
+              (Model.Quantity (Xpdl_units.Units.hertz (float_of_int (1 + Gen.int g 40) *. 1e8), "Hz"))
+        | 3 -> Store.remove_attr store path (Gen.pick g [ "static_power"; "size"; "frequency" ])
+        | 4 ->
+            (* a key no derived fold reads *)
+            Store.set_attr store path "vendor" (Model.Str (Fmt.str "v%d" (Gen.int g 10)))
+        | 5 -> Store.insert_child store path (fresh_leaf ())
         | _ -> (
             match Store.element_at store path with
             | Some e when e.Model.children <> [] ->
@@ -599,7 +641,8 @@ module Sproto = Xpdl_serve.Protocol
    fresh handle over the store's current model answers, every pinned
    query must answer what a fresh handle over the model captured at pin
    time answers (bit-identically, across journal compaction — the
-   journal capacity is tiny on purpose), pinned revisions must stay
+   journal capacity is tiny on purpose), so must the image a [Fetch] at
+   that revision serves, once loaded, pinned revisions must stay
    replayable from the journal, and a subscribed session must see
    exactly the edits journaled while it was subscribed, in order. *)
 let check_serve_mvcc (doc : Dom.element) : string option =
@@ -609,20 +652,21 @@ let check_serve_mvcc (doc : Dom.element) : string option =
   | Some m ->
       let hub = Hub.create ~journal_capacity:4 m in
       let store = Hub.store hub in
-      (* fixed-seed op stream, deterministic across shrink re-runs *)
-      let g = Gen.create ~seed:default_seed in
+      (* op stream seeded from the document's text: deterministic across
+         shrink re-runs, and its own sequence of ops per document *)
+      let g = Gen.case ~seed:default_seed ~salt:(Print.to_string doc) in
       let fail fmt = Fmt.kstr Option.some fmt in
       let bits = Int64.bits_of_float in
       let n_sessions = 2 + Gen.int g 3 in
-      (* oracle per session: pinned rev -> model captured at pin time,
-         subscription flag, expected pending events (newest first) *)
+      (* oracle per session: pinned rev -> model captured at pin time and
+         nested pin count, subscription flag, expected pending events
+         (newest first) *)
       let sessions =
         Array.init n_sessions (fun _ ->
             (Hub.session hub, Hashtbl.create 4, ref false, ref []))
       in
       let queries = [ "cores"; "static-power"; "memory"; "size"; "cuda-devices" ] in
-      let expected_on model q =
-        let h = Query.of_model model in
+      let expected_of h q =
         match q with
         | "cores" -> `I (Query.count_cores h)
         | "static-power" -> `F (bits (Query.total_static_power h))
@@ -630,6 +674,7 @@ let check_serve_mvcc (doc : Dom.element) : string option =
         | "cuda-devices" -> `I (Query.count_cuda_devices h)
         | _ -> `I (Query.size h)
       in
+      let expected_on model q = expected_of (Query.of_model model) q in
       let answer = function
         | Sproto.Ok (Sproto.Int v) -> Some (`I v)
         | Sproto.Ok (Sproto.Float v) -> Some (`F (bits v))
@@ -659,21 +704,30 @@ let check_serve_mvcc (doc : Dom.element) : string option =
                 | r -> fail "session %d: unpinned rev %d answered %a" si rev pp_resp r)
             | revs -> (
                 let rev = Gen.pick g revs in
-                let frozen = Hashtbl.find pins rev in
+                let frozen, _ = Hashtbl.find pins rev in
                 let q = Gen.pick g queries in
                 let resp = Hub.handle hub s (Sproto.Query { rev; q }) in
-                if answer resp <> Some (expected_on frozen q) then
+                let expect = expected_on frozen q in
+                if answer resp <> Some expect then
                   fail "session %d: pinned@%d %s diverged: %a" si rev q pp_resp resp
                 else
-                  (* the pin is a journal retention floor *)
-                  match Hub.handle hub s (Sproto.EditsSince rev) with
-                  | Sproto.Ok (Sproto.Edits l) ->
-                      let expect = Store.revision store - rev in
-                      if List.length l <> expect then
-                        fail "session %d: edits-since %d returned %d edits, expected %d" si
-                          rev (List.length l) expect
-                      else None
-                  | r -> fail "session %d: pinned rev %d not replayable: %a" si rev pp_resp r))
+                  (* the image served at the pinned revision loads and
+                     answers like the frozen model *)
+                  match Hub.handle hub s (Sproto.Fetch rev) with
+                  | Sproto.Ok (Sproto.Blob b)
+                    when expected_of (Query.of_ir (Ir.of_bytes b)) q <> expect ->
+                      fail "session %d: fetch@%d image answers %s differently" si rev q
+                  | Sproto.Ok (Sproto.Blob _) -> (
+                      (* the pin is a journal retention floor *)
+                      match Hub.handle hub s (Sproto.EditsSince rev) with
+                      | Sproto.Ok (Sproto.Edits l) ->
+                          let expect = Store.revision store - rev in
+                          if List.length l <> expect then
+                            fail "session %d: edits-since %d returned %d edits, expected %d" si
+                              rev (List.length l) expect
+                          else None
+                      | r -> fail "session %d: pinned rev %d not replayable: %a" si rev pp_resp r)
+                  | r -> fail "session %d: fetch@%d answered %a" si rev pp_resp r))
         | 4 ->
             (* pin: capture the oracle model *)
             let resp = Hub.handle hub s Sproto.Pin in
@@ -683,8 +737,9 @@ let check_serve_mvcc (doc : Dom.element) : string option =
                   fail "session %d: pin answered %d at revision %d" si rev
                     (Store.revision store)
                 else begin
-                  if not (Hashtbl.mem pins rev) then
-                    Hashtbl.replace pins rev (Store.model store);
+                  (match Hashtbl.find_opt pins rev with
+                  | Some (_, count) -> incr count
+                  | None -> Hashtbl.replace pins rev (Store.model store, ref 1));
                   None
                 end
             | r -> fail "session %d: pin answered %a" si pp_resp r)
@@ -699,7 +754,9 @@ let check_serve_mvcc (doc : Dom.element) : string option =
                 let rev = Gen.pick g revs in
                 match Hub.handle hub s (Sproto.Unpin rev) with
                 | Sproto.Ok Sproto.Unit ->
-                    Hashtbl.remove pins rev;
+                    let _, count = Hashtbl.find pins rev in
+                    decr count;
+                    if !count = 0 then Hashtbl.remove pins rev;
                     None
                 | r -> fail "session %d: unpin %d answered %a" si rev pp_resp r))
         | 6 ->

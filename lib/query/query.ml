@@ -22,9 +22,10 @@
     so every operation here is array/hash lookups — no XML in sight at
     run time, which is the point measured by experiment E5.  The IR's
     preorder layout makes every subtree aggregation a contiguous array
-    scan, and because the IR is immutable, each handle carries a memo
-    table: a derived attribute is computed at most once per subtree per
-    handle (no invalidation is ever needed). *)
+    scan, and each handle carries a memo table: a derived attribute is
+    computed at most once per subtree per revision of the handle.  Only a
+    handle that follows a store invalidates memos, and then only the
+    family whose fold reads the edited attribute key. *)
 
 open Xpdl_core
 module Ir = Xpdl_toolchain.Ir
@@ -34,9 +35,10 @@ module Store = Xpdl_store.Store
 
 type element = Ir.node
 
-(* Per-handle caches.  Keys are the [within] node's preorder index; the
-   IR is immutable, so entries never need invalidation.  Compiled
-   selectors are cached by source string. *)
+(* Per-handle caches.  Keys are the [within] node's preorder index;
+   compiled selectors are cached by source string.  A [Fixed] handle's
+   IR never changes, so its entries never need invalidation; a
+   [Tracked] handle prunes them on sync (see [invalidate_at]). *)
 type memo = {
   mc_selectors : (string, Path.compiled) Hashtbl.t;
   mc_selects : (string, Ir.node list) Hashtbl.t;
@@ -80,13 +82,14 @@ let memoize lock tbl key compute =
               v)
 
 (* Where the handle's IR comes from.  [Fixed] handles wrap an immutable
-   IR (a file, an in-memory build): their memos never need invalidation.
-   [Tracked] handles follow an {!Xpdl_store.Store}: before every access
-   the handle consumes the store's edit journal — attribute edits are
-   patched into the IR in place ({!Ir.patch_attrs}) and evict only the
-   memo entries whose subtree spans cover the patched node; structural
-   edits (or a compacted journal) force a full rebuild.  This replaces
-   the former throw-away-the-handle-on-reload discipline. *)
+   IR (a file, an in-memory build, a snapshot's fork): their memos never
+   need invalidation.  [Tracked] handles follow an {!Xpdl_store.Store}:
+   before every access the handle consumes the store's edit journal —
+   attribute edits are patched into the IR in place ({!Ir.patch_attrs})
+   and evict only those entries of the family reading the edited key
+   whose subtree spans cover the patched node; structural edits (or a
+   compacted journal) force a full rebuild.  This replaces the former
+   throw-away-the-handle-on-reload discipline. *)
 type origin =
   | Fixed
   | Tracked of { store : Store.t; drop : string list; mutable synced_rev : int }
@@ -130,15 +133,28 @@ let prune_covering ir (tbl : (int, 'a) Hashtbl.t) j =
   in
   List.iter (Hashtbl.remove tbl) stale
 
-let invalidate_at t j =
+(* Hot attribute keys, interned once at startup: the keys the derived
+   folds below read. *)
+let k_static_power = Ir.intern "static_power"
+let k_size = Ir.intern "size"
+let k_frequency = Ir.intern "frequency"
+
+(* An attribute edit of [key] at node [j] cannot change kinds, type
+   references or the tree's shape, so it stales only the memo family
+   whose fold reads [key] — and there only the entries whose span covers
+   [j].  Core and CUDA-device counts read kinds and types alone and are
+   never stale.  Selector results and the installed-software list hold
+   node records, whose attributes the edit may have changed, so both are
+   dropped on every edit. *)
+let invalidate_at t j key =
   let m = t.memo in
   Hashtbl.reset m.mc_selects;
-  prune_covering t.ir m.mc_count_cores j;
-  prune_covering t.ir m.mc_cuda_devices j;
-  prune_covering t.ir m.mc_static_power j;
-  prune_covering t.ir m.mc_memory_bytes j;
-  prune_covering t.ir m.mc_frequencies j;
-  m.mc_installed <- None
+  m.mc_installed <- None;
+  match Ir.intern_opt key with
+  | Some k when k = k_static_power -> prune_covering t.ir m.mc_static_power j
+  | Some k when k = k_size -> prune_covering t.ir m.mc_memory_bytes j
+  | Some k when k = k_frequency -> prune_covering t.ir m.mc_frequencies j
+  | _ -> ()
 
 let ir_of_store ~drop store =
   let m = Store.model store in
@@ -149,11 +165,10 @@ let ir_of_store ~drop store =
    the journal stay valid because the tree shape did not change); any
    structural edit, dangling path, or journal compaction falls back to a
    full IR rebuild with a fresh derived memo. *)
-let sync t =
+let sync_locked t =
   match t.origin with
   | Fixed -> ()
   | Tracked tr ->
-      Mutex.protect t.lock @@ fun () ->
       let rev = Store.revision tr.store in
       if rev <> tr.synced_rev then begin
         let rebuild () =
@@ -174,7 +189,7 @@ let sync t =
                       else List.filter (fun (k, _) -> not (List.mem k tr.drop)) e.Model.attrs
                     in
                     Ir.patch_attrs t.ir i attrs;
-                    invalidate_at t i
+                    invalidate_at t i key
                 | _ -> raise_notrace Exit)
         in
         (match Store.edits_since tr.store tr.synced_rev with
@@ -183,10 +198,8 @@ let sync t =
         tr.synced_rev <- rev
       end
 
-(* Hot attribute keys, interned once at startup. *)
-let k_static_power = Ir.intern "static_power"
-let k_size = Ir.intern "size"
-let k_frequency = Ir.intern "frequency"
+let sync t =
+  match t.origin with Fixed -> () | Tracked _ -> Mutex.protect t.lock (fun () -> sync_locked t)
 
 (** {1 Initialization} *)
 
@@ -217,6 +230,32 @@ let of_store ?(drop = []) ?source store =
     source;
     memo = fresh_memo ();
     origin = Tracked { store; drop; synced_rev = Store.revision store };
+    lock = Mutex.create ();
+  }
+
+let copy_memo (m : memo) =
+  {
+    mc_selectors = Hashtbl.copy m.mc_selectors;
+    mc_selects = Hashtbl.copy m.mc_selects;
+    mc_count_cores = Hashtbl.copy m.mc_count_cores;
+    mc_cuda_devices = Hashtbl.copy m.mc_cuda_devices;
+    mc_static_power = Hashtbl.copy m.mc_static_power;
+    mc_memory_bytes = Hashtbl.copy m.mc_memory_bytes;
+    mc_frequencies = Hashtbl.copy m.mc_frequencies;
+    mc_installed = m.mc_installed;
+  }
+
+(* Sync, fork and copy under one hold of the lock, so no other reader's
+   sync or memo insert lands between them: the copied memos are valid
+   at exactly the forked revision. *)
+let snapshot ?source t =
+  Mutex.protect t.lock @@ fun () ->
+  sync_locked t;
+  {
+    ir = Ir.fork t.ir;
+    source = Option.value ~default:t.source source;
+    memo = copy_memo t.memo;
+    origin = Fixed;
     lock = Mutex.create ();
   }
 

@@ -9,13 +9,19 @@
     are compiled once per handle and seed ["//tag"] steps from the kind
     index.
 
-    Handles built with {!init}/{!of_ir}/{!of_model} wrap an immutable IR:
-    their memos never need invalidation.  Handles built with {!of_store}
-    track an incremental {!Xpdl_store.Store}: before every access the
-    handle consumes the store's edit journal, patching attribute edits
-    into the IR in place and evicting only the memo entries whose subtree
-    spans cover an edited node — instead of being thrown away and rebuilt
-    on every model change.
+    Handles built with {!init}/{!of_ir}/{!of_model}/{!snapshot} wrap an
+    immutable IR: their memos never need invalidation.  Handles built
+    with {!of_store} track an incremental {!Xpdl_store.Store}: before
+    every access the handle consumes the store's edit journal, patching
+    attribute edits into the IR in place instead of being thrown away and
+    rebuilt on every model change.  Memo pruning is key-aware: an edit of
+    attribute [k] at node [j] evicts, from the one derived family whose
+    fold reads [k] ([static_power] → static power, [size] → memory,
+    [frequency] → min/max frequency), the entries whose subtree spans
+    cover [j]; core and CUDA-device counts read only kinds and types,
+    which an attribute edit cannot change, and survive every attribute
+    edit.  Selector results and the installed-software list are dropped
+    on every edit; structural edits rebuild the IR and every memo.
 
     Handles are safe to {e read} from several domains concurrently: the
     per-handle memo tables and journal synchronization are guarded by a
@@ -57,6 +63,16 @@ val of_model : ?source:string -> Model.element -> t
     compaction rebuild the IR.  Element handles obtained before an edit
     are snapshots — re-fetch them after editing. *)
 val of_store : ?drop:string list -> ?source:string -> Xpdl_store.Store.t -> t
+
+(** A frozen handle at the handle's current revision: a tracked handle
+    is synchronized first.  The snapshot reads a {!Ir.fork} of the
+    synced arena and starts from a copy of the memo tables, so whatever
+    was already derived at that revision is answered from memory; no
+    model is re-encoded and no node view rebuilt.  Later edits to the
+    source handle's store never reach the snapshot.  A [drop] list of
+    the source handle stays in force.  [source] defaults to the source
+    handle's. *)
+val snapshot : ?source:string -> t -> t
 
 (** The handle's current runtime IR (synchronized first). *)
 val runtime_ir : t -> Ir.t

@@ -196,9 +196,10 @@ let do_pin t s =
   (match Hashtbl.find_opt t.snapshots rev with
   | Some snap -> snap.refs <- snap.refs + 1
   | None ->
-      (* [Store.model] returns an immutable tree: this handle is the
-         frozen revision, never synchronized again *)
-      let sq = Query.of_model ~source:(Fmt.str "serve:pin@%d" rev) (Store.model t.st) in
+      (* a fork of the head's synced arena plus a copy of its memos:
+         the frozen revision, never synchronized again, and built
+         without re-encoding the model *)
+      let sq = Query.snapshot ~source:(Fmt.str "serve:pin@%d" rev) t.head in
       Hashtbl.replace t.snapshots rev { sq; refs = 1 });
   Protocol.Ok (Int rev)
 

@@ -7,13 +7,17 @@
     head or a pinned snapshot, push edits, and subscribe to the edit
     stream.
 
-    MVCC semantics: {!Protocol.Pin} captures the store's current
-    immutable model tree as a dedicated snapshot handle and registers a
-    retention floor with the store ({!Xpdl_store.Store.pin}), so journal
-    compaction never reaches past the oldest pin and every pinned
-    [Query { rev; _ }] answers {e bit-identically} no matter how far the
-    writer has advanced.  Snapshot handles are shared across sessions
-    pinning the same revision and reclaimed when the last pin drops.
+    MVCC semantics: {!Protocol.Pin} freezes the current revision as a
+    dedicated snapshot handle ({!Xpdl_query.Query.snapshot}: a fork of
+    the head's synced arena plus a copy of its memos, so no model is
+    re-encoded) and registers a retention floor with the store
+    ({!Xpdl_store.Store.pin}), so journal compaction never reaches past
+    the oldest pin and every pinned [Query { rev; _ }] answers
+    {e bit-identically} no matter how far the writer has advanced.  A
+    [Fetch] at a pinned revision returns the same bytes as a [Fetch] of
+    the head taken at that revision.  Snapshot handles are shared across
+    sessions pinning the same revision and reclaimed when the last pin
+    drops.
 
     The hub is deliberately transport-free — {!handle} maps requests to
     responses and {!handle_frame} does the same over encoded payloads —

@@ -738,6 +738,14 @@ let patch_attrs t i pairs =
     | Some v -> t.views.(i) <- Some { v with n_attrs = arr }
     | None -> ()
 
+(* The byte image, the tables, and whatever parents/paths/indexes are
+   already built never change after they are set, so the fork shares
+   them.  The string cache is shared too: both arenas only ever fill a
+   slot with the same decoded string.  The two things [patch_attrs]
+   writes — the overlay and the view array — are copied, one pointer
+   per entry. *)
+let fork t = { t with patched = Hashtbl.copy t.patched; views = Array.copy t.views }
+
 let root t = node t 0
 let parent t (n : node) = if n.n_parent < 0 then None else Some (node t n.n_parent)
 let children t (n : node) = Array.to_list (Array.map (node t) n.n_children)

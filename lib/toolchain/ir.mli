@@ -126,6 +126,17 @@ val attr_at : t -> int -> string -> value option
     Raises [Invalid_argument] on a bad index. *)
 val patch_attrs : t -> int -> (string * Model.attr_value) list -> unit
 
+(** An arena that reads exactly like [t] now and is isolated from later
+    {!patch_attrs} on either side.  It shares the immutable byte image,
+    the kind/key tables and every lazily built cache that exists at fork
+    time (string decodes, parents, scope paths, the ident/kind/path
+    indexes).  It copies the attribute overlay and the node-view array:
+    pointer copies, with no decode and no encode, so a fork costs one
+    word per node plus one table entry per patched node.  {!to_bytes} of
+    the fork and of [t], taken before either is patched again, are
+    byte-identical. *)
+val fork : t -> t
+
 val root : t -> node
 val parent : t -> node -> node option
 val children : t -> node -> node list

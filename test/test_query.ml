@@ -280,6 +280,79 @@ let test_select_compiled_reuse () =
   Alcotest.(check int) "compiled = select" (List.length a) (List.length b);
   List.iter2 (fun (x : Q.element) y -> Alcotest.(check bool) "same" true (x == y)) a b
 
+(* --- snapshots of a tracked handle --- *)
+
+module Store = Xpdl_store.Store
+
+(* Every derived family, a selector and the installed-software list,
+   rendered so that equal strings mean bit-identical answers. *)
+let answers q =
+  let value = function
+    | Ir.VQty (v, d) -> Fmt.str "%h%s" v (Xpdl_units.Units.dimension_name d)
+    | Ir.VFloat f -> Fmt.str "%h" f
+    | v -> Fmt.str "%a" Ir.pp_value v
+  in
+  let element (e : Q.element) =
+    Fmt.str "%s{%s}" e.Ir.n_path
+      (String.concat ","
+         (Array.to_list
+            (Array.map (fun (k, v) -> Ir.key_name k ^ "=" ^ value v) e.Ir.n_attrs)))
+  in
+  let freq = function None -> "-" | Some f -> Fmt.str "%h" f in
+  let gpu = Q.find_by_id_exn q "gpu1" in
+  String.concat "\n"
+    ([
+       string_of_int (Q.size q);
+       string_of_int (Q.count_cores q);
+       string_of_int (Q.count_cuda_devices q);
+       Fmt.str "%h" (Q.total_static_power q);
+       Fmt.str "%h" (Q.total_static_power ~within:gpu q);
+       Fmt.str "%h" (Q.total_memory_bytes q);
+       freq (Q.min_frequency q);
+       freq (Q.max_frequency q);
+     ]
+    @ List.map element (Q.installed_software q)
+    @ List.map element (Q.select q "//memory"))
+
+(* A snapshot answers like a fresh handle over the model it captured,
+   whatever the tracked handle it came from does afterwards. *)
+let test_snapshot_isolation () =
+  let watts w = Xpdl_core.Model.Quantity (Xpdl_units.Units.watts w, "W") in
+  let m = model "liu_gpu_server" in
+  let store = Store.of_model m in
+  let head = Q.of_store store in
+  let is kind (e : Xpdl_core.Model.element) = e.Xpdl_core.Model.kind = kind in
+  let cores = Store.find_paths store (is Xpdl_core.Schema.Core) in
+  let gpus = Store.find_paths store (is Xpdl_core.Schema.Device) in
+  let mems = Store.find_paths store (is Xpdl_core.Schema.Memory) in
+  (* memoize everything on the head, then patch its arena before the
+     snapshot so the fork starts from a patched arena with memos *)
+  ignore (answers head);
+  Store.set_attr store (List.nth cores 3) "static_power" (watts 5.5);
+  let captured = Store.model store in
+  let snap = Q.snapshot head in
+  let expect = answers (Q.of_model captured) in
+  let bytes = Ir.to_bytes (Q.runtime_ir snap) in
+  Alcotest.(check string) "snapshot = captured model" expect (answers snap);
+  let still what =
+    ignore (answers head);
+    Alcotest.(check string) ("after " ^ what) expect (answers snap);
+    Alcotest.(check bool) ("bytes after " ^ what) true (String.equal bytes (Ir.to_bytes (Q.runtime_ir snap)))
+  in
+  Store.set_attr store (List.nth cores 3) "static_power" (watts 9.25);
+  Store.set_attr store (List.hd mems) "size"
+    (Xpdl_core.Model.Quantity (Xpdl_units.Units.bytes 12345., "B"));
+  Store.set_attr store (List.hd cores) "frequency"
+    (Xpdl_core.Model.Quantity (Xpdl_units.Units.hertz 1e6, "Hz"));
+  still "attribute edits";
+  Store.remove_attr store (List.hd gpus) "static_power";
+  still "remove_attr";
+  Store.insert_child store [] (Xpdl_core.Model.make Xpdl_core.Schema.Core ~attrs:[ ("static_power", watts 3.) ]);
+  still "a structural edit";
+  (* the head did move *)
+  Alcotest.(check bool) "head moved" false (String.equal expect (answers head));
+  Alcotest.(check string) "head = current model" (answers (Q.of_model (Store.model store))) (answers head)
+
 let case name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -324,4 +397,5 @@ let () =
           case "kind-seeded select" test_select_kind_seeded;
           case "compiled selector reuse" test_select_compiled_reuse;
         ] );
+      ("snapshot", [ case "isolated from the tracked handle" test_snapshot_isolation ]);
     ]

@@ -393,6 +393,82 @@ let test_hub_mvcc_and_events () =
   Alcotest.(check int) "snapshot reclaimed on close" 0 (Hub.snapshot_count h);
   Alcotest.(check (list int)) "no pins left" [] (Store.pinned_revisions (Hub.store h))
 
+let edit_core_power h s path watts =
+  ok_int
+    (Hub.handle h s
+       (Protocol.Edit { path; key = "static_power"; value = watts; unit_spelling = Some "W"; req_id = None }))
+
+let first_core h =
+  List.hd (Store.find_paths (Hub.store h) (fun e -> e.Model.kind = Schema.Core))
+
+(* After an edit, the head and a snapshot pinned at the same revision
+   serve the same bytes, and those bytes load, verify and answer like
+   the model of record. *)
+let test_hub_fetch_identity () =
+  let h = Hub.create (model "liu_gpu_server") in
+  let s = Hub.session h in
+  ignore (edit_core_power h s (first_core h) "3");
+  let rev = ok_int (Hub.handle h s Protocol.Pin) in
+  let blob rev =
+    match Hub.handle h s (Protocol.Fetch rev) with
+    | Protocol.Ok (Protocol.Blob b) -> b
+    | r -> Alcotest.failf "fetch %d: %a" rev Protocol.pp_response r
+  in
+  let head = blob (-1) and pinned = blob rev in
+  Alcotest.(check int) "same length" (String.length head) (String.length pinned);
+  Alcotest.(check bool) "same bytes" true (String.equal head pinned);
+  let answers bytes =
+    let ir = Ir.of_bytes bytes in
+    (match Ir.verify ir with Ok () -> () | Error d -> Alcotest.failf "verify: %s" d.Diagnostic.message);
+    let q = Query.of_ir ir in
+    ( Query.count_cores q,
+      Int64.bits_of_float (Query.total_static_power q),
+      Int64.bits_of_float (Query.total_memory_bytes q),
+      Query.count_cuda_devices q )
+  in
+  let oracle =
+    let q = Query.of_model (Store.model (Hub.store h)) in
+    ( Query.count_cores q,
+      Int64.bits_of_float (Query.total_static_power q),
+      Int64.bits_of_float (Query.total_memory_bytes q),
+      Query.count_cuda_devices q )
+  in
+  Alcotest.(check bool) "head blob answers like the model" true (answers head = oracle);
+  Alcotest.(check bool) "pinned blob answers like the model" true (answers pinned = oracle)
+
+(* A Pin forks the head instead of re-encoding the model, and a pinned
+   query of an aggregate the head already memoized is a memo hit.  Each
+   figure is the least over a few edit -> pin -> query -> unpin rounds:
+   a window in which the runtime finishes a GC cycle can be charged
+   more than the code in it allocated. *)
+let test_hub_pin_allocation () =
+  let h = Hub.create (model "liu_gpu_server") in
+  let s = Hub.session h in
+  let n = Store.size (Hub.store h) in
+  let query rev q = Hub.handle h s (Protocol.Query { rev; q }) in
+  List.iter (fun q -> ignore (query (-1) q)) [ "cores"; "static-power"; "memory"; "cuda-devices" ];
+  let cores = ok_int (query (-1) "cores") in
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    let r = f () in
+    (r, Gc.allocated_bytes () -. before)
+  in
+  let pin_bytes = ref infinity and query_bytes = ref infinity in
+  for i = 1 to 5 do
+    ignore (edit_core_power h s (first_core h) (string_of_int i));
+    let rev, b = allocated (fun () -> ok_int (Hub.handle h s Protocol.Pin)) in
+    pin_bytes := Float.min !pin_bytes b;
+    let answer, b = allocated (fun () -> query rev "cores") in
+    query_bytes := Float.min !query_bytes b;
+    Alcotest.(check int) "pinned cores" cores (ok_int answer);
+    ignore (Hub.handle h s (Protocol.Unpin rev))
+  done;
+  if !pin_bytes > float_of_int ((16 * n) + 16384) then
+    Alcotest.failf "Pin allocated %.0f B for %d elements (%.1f B/element)" !pin_bytes n
+      (!pin_bytes /. float_of_int n);
+  if !query_bytes >= 1024. then
+    Alcotest.failf "memoized pinned query allocated %.0f B" !query_bytes
+
 let test_hub_handle_frame () =
   let h = hub_small () in
   let s = Hub.session h in
@@ -655,6 +731,8 @@ let () =
         [
           case "basics and errors" test_hub_basics;
           case "mvcc, events, reclamation" test_hub_mvcc_and_events;
+          case "fetch bytes identical at a pinned revision" test_hub_fetch_identity;
+          case "pin forks instead of rebuilding" test_hub_pin_allocation;
           case "frame-level dispatch" test_hub_handle_frame;
         ] );
       ( "server",

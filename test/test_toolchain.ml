@@ -158,6 +158,48 @@ let test_double_save_identity () =
   | _ -> Alcotest.fail "patched attribute must survive the re-encode");
   Alcotest.(check bool) "re-encode is stable" true (String.equal b3 (Ir.to_bytes ir4))
 
+(* A fork reads like its origin and is isolated from later patches on
+   either side, including on a node whose view was materialized before
+   the fork. *)
+let test_fork_isolation () =
+  let watts w = Xpdl_core.Model.Quantity (Xpdl_units.Units.watts w, "W") in
+  let k_sp = Ir.intern "static_power" in
+  let base = Ir.of_model (model "liu_gpu_server") in
+  let gpu = Option.get (Ir.find_by_ident base "gpu1") in
+  let g = gpu.Ir.n_index in
+  (* a core whose view nobody has built yet *)
+  let c = List.nth (Ir.indexes_of_kind base Xpdl_core.Schema.Core) 7 in
+  let bytes0 = Ir.to_bytes base in
+  let gpu_sp = Ir.attr_by_key_at base g k_sp and core_sp = Ir.attr_by_key_at base c k_sp in
+  let fork = Ir.fork base in
+  Alcotest.(check bool) "fork bytes = origin bytes" true (String.equal bytes0 (Ir.to_bytes fork));
+  Ir.patch_attrs fork g [ ("static_power", watts 99.) ];
+  Ir.patch_attrs fork c [ ("static_power", watts 7.) ];
+  let qty = function Some (Ir.VQty (v, _)) -> v | _ -> Alcotest.fail "static_power quantity" in
+  Alcotest.(check (float 0.)) "fork sees its patch (viewed node)" 99. (qty (Ir.attr_by_key_at fork g k_sp));
+  Alcotest.(check (float 0.)) "fork sees its patch (unviewed node)" 7. (qty (Ir.attr_by_key_at fork c k_sp));
+  Alcotest.(check (float 0.)) "fork view patched" 99. (qty (Ir.attr_by_key (Ir.node fork g) k_sp));
+  (* the origin is untouched: record, lookups and bytes *)
+  Alcotest.(check bool) "origin keeps its view record" true (Ir.node base g == gpu);
+  Alcotest.(check bool) "origin attr (viewed node)" true (Ir.attr_by_key_at base g k_sp = gpu_sp);
+  Alcotest.(check bool) "origin attr (unviewed node)" true (Ir.attr_by_key_at base c k_sp = core_sp);
+  Alcotest.(check bool) "origin bytes" true (String.equal bytes0 (Ir.to_bytes base));
+  (* the other direction: patch the origin after forking it again *)
+  let fork2 = Ir.fork base in
+  let fork2_gpu = Ir.node fork2 g in
+  Ir.patch_attrs base g [ ("static_power", watts 1.) ];
+  Ir.patch_attrs base c [ ("static_power", watts 2.) ];
+  Alcotest.(check bool) "second fork keeps its view record" true (Ir.node fork2 g == fork2_gpu);
+  Alcotest.(check bool) "second fork attr (viewed node)" true (Ir.attr_by_key_at fork2 g k_sp = gpu_sp);
+  Alcotest.(check bool) "second fork attr (unviewed node)" true (Ir.attr_by_key_at fork2 c k_sp = core_sp);
+  Alcotest.(check bool) "second fork bytes" true (String.equal bytes0 (Ir.to_bytes fork2));
+  (* a fork of a patched arena encodes to the same bytes as its origin *)
+  let fork3 = Ir.fork base in
+  let patched = Ir.to_bytes base in
+  Alcotest.(check bool) "patched origin re-encodes" false (String.equal bytes0 patched);
+  Alcotest.(check bool) "fork of patched = origin" true (String.equal patched (Ir.to_bytes fork3));
+  Alcotest.(check bool) "fork verifies" true (Ir.verify fork3 = Ok ())
+
 (* v1 → v2 migration: the legacy writer's output must load into an arena
    semantically identical to the original *)
 let test_v1_migration_roundtrip () =
@@ -639,6 +681,7 @@ let () =
           case "corrupt fixture files" test_error_fixtures;
           case "checksum verify" test_verify_clean;
           case "double-save byte identity" test_double_save_identity;
+          case "fork isolation" test_fork_isolation;
           case "v1 migration round-trip" test_v1_migration_roundtrip;
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
         ] );
